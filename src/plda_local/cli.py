@@ -6,6 +6,7 @@ go to stderr; data only to files.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -94,7 +95,8 @@ def _build_parser() -> _Parser:
 
 
 def _check_distinct(*paths):
-    real = [p for p in paths if p]
+    """Every path names a different file, however it is spelled."""
+    real = [os.path.realpath(p) for p in paths if p]
     if len(set(real)) != len(real):
         raise UsageError("input and output paths must be distinct")
 
@@ -189,7 +191,7 @@ def _cmd_score(ns) -> int:
     )
     scores = plda.score_trialset(model, enroll, trials, test_vecs,
                                  threads=ns.threads)
-    eval_harness.write_scores(zip(trials.iter_trials(), scores), ns.scores)
+    eval_harness.write_scores(trials, scores, ns.scores)
     return 0
 
 
@@ -200,8 +202,7 @@ def _cmd_eval(ns) -> int:
     trials = eval_harness.TrialSet.from_pairs(pairs, key)
     scores = plda.score_trialset(model, enroll, trials, test_vecs,
                                  threads=ns.threads)
-    if ns.scores:
-        eval_harness.write_scores(zip(trials.iter_trials(), scores), ns.scores)
+    # everything that can reject the data runs before the first output
     eer, thr = eval_harness.compute_eer(
         scores[trials.target], scores[~trials.target]
     )
@@ -216,7 +217,14 @@ def _cmd_eval(ns) -> int:
         n_nontarget=trials.n_nontarget,
         scores_path=ns.scores,
     )
-    eval_harness.write_report(report, ns.report)
+    if ns.scores:
+        eval_harness.write_scores(trials, scores, ns.scores)
+    try:
+        eval_harness.write_report(report, ns.report)
+    except OSError:
+        if ns.scores:
+            os.remove(ns.scores)
+        raise
     print(f"eer {eer:.6f}", file=sys.stderr)
     return 0
 

@@ -7,6 +7,8 @@ differences are purely training-side.
 """
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,8 +44,13 @@ class TrialSet:
         self.target = np.asarray(target, dtype=bool)
         if not (len(self.model_idx) == len(self.test_idx) == len(self.target)):
             raise EvalError("trial arrays have inconsistent lengths")
-        pair_codes = self.model_idx * len(self.test_utt_ids) + self.test_idx
-        if len(np.unique(pair_codes)) != len(pair_codes):
+        for idx, ids in ((self.model_idx, self.model_ids),
+                         (self.test_idx, self.test_utt_ids)):
+            if len(idx) and not (0 <= idx.min() and idx.max() < len(ids)):
+                raise EvalError("trial index out of range")
+        codes = self.model_idx * len(self.test_utt_ids) + self.test_idx
+        codes.sort()
+        if np.any(codes[1:] == codes[:-1]):
             raise EvalError("duplicate trial pairs")
 
     def __len__(self):
@@ -58,8 +65,8 @@ class TrialSet:
         return len(self) - self.n_target
 
     def iter_trials(self):
-        for m, t in zip(self.model_idx, self.test_idx):
-            yield self.model_ids[m], self.test_utt_ids[t]
+        return zip(map(self.model_ids.__getitem__, self.model_idx.tolist()),
+                   map(self.test_utt_ids.__getitem__, self.test_idx.tolist()))
 
     def is_target(self, model_id: str, test_utt_id: str) -> bool:
         m = self.model_ids.index(model_id)
@@ -239,10 +246,10 @@ def run_strategy(strategy, global_data, local_data, eval_enroll, eval_test,
             model, enroll_vecs, trials, test_vecs, threads=cfg.threads
         )
 
-    if scores_path is not None:
-        write_scores(zip(trials.iter_trials(), scores), scores_path)
     eer, thr = compute_eer(scores[trials.target], scores[~trials.target])
     _, far, frr = det_curve(scores[trials.target], scores[~trials.target])
+    if scores_path is not None:
+        write_scores(trials, scores, scores_path)
     return EvalReport(
         eer=eer,
         threshold=thr,
@@ -369,16 +376,54 @@ def _sweep_cell(rng, g, l, g_classes, l_classes, g_view, l_view,
     return eer
 
 
-def write_scores(rows, path) -> None:
-    """rows: iterable of ((model_id, utt_id), score) or (model_id, utt_id, score)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+_CHUNK = 1 << 16  # rows formatted per write
+
+
+@contextmanager
+def _replacing(path):
+    """Text file handle on a temporary file beside ``path`` that replaces
+    ``path`` when the block succeeds and is removed when it raises, so a
+    failed write never leaves a partial file. A symlinked ``path`` is
+    written through, as opening it for writing would."""
+    path = os.path.realpath(path)
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
+def _write_chunked(fh, n, lines):
+    """Write rows 0..n-1, _CHUNK rows at a time: lines(start, stop) yields
+    the text of rows start..stop-1, and each chunk is one "".join and one
+    write, so no per-row Python object outlives its chunk."""
+    for a in range(0, n, _CHUNK):
+        fh.write("".join(lines(a, min(a + _CHUNK, n))))
+
+
+def _id_columns(trials: TrialSet):
+    """Model and test ids with the separating comma already appended."""
+    return ([m + "," for m in trials.model_ids],
+            [t + "," for t in trials.test_utt_ids])
+
+
+def write_scores(trials: TrialSet, scores, path) -> None:
+    """model_id,test_utt_id,score rows, one per trial in trial order."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.shape != (len(trials),):
+        raise EvalError(f"{scores.size} scores for {len(trials)} trials")
+    mids, tids = _id_columns(trials)
+    mi, ti = trials.model_idx, trials.test_idx
+    with _replacing(path) as fh:
         fh.write("model_id,test_utt_id,score\n")
-        for row in rows:
-            if len(row) == 2:
-                (mid, tid), s = row
-            else:
-                mid, tid, s = row
-            fh.write(f"{mid},{tid},{format_float(s)}\n")
+        _write_chunked(fh, len(trials), lambda a, b: (
+            f"{mids[m]}{tids[t]}{v!r}\n"
+            for m, t, v in zip(mi[a:b].tolist(), ti[a:b].tolist(), scores[a:b].tolist())))
 
 
 def read_scores(path):
@@ -396,10 +441,13 @@ def read_scores(path):
 
 
 def write_key(trials: TrialSet, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    mids, tids = _id_columns(trials)
+    mi, ti, tg = trials.model_idx, trials.test_idx, trials.target
+    with _replacing(path) as fh:
         fh.write("model_id,test_utt_id,key\n")
-        for (mid, tid), tgt in zip(trials.iter_trials(), trials.target):
-            fh.write(f"{mid},{tid},{'target' if tgt else 'nontarget'}\n")
+        _write_chunked(fh, len(trials), lambda a, b: (
+            f"{mids[m]}{tids[t]}{'target' if y else 'nontarget'}\n"
+            for m, t, y in zip(mi[a:b].tolist(), ti[a:b].tolist(), tg[a:b].tolist())))
 
 
 def read_key(path):
@@ -423,7 +471,7 @@ def read_key(path):
 
 def write_report(obj, path) -> None:
     """EvalReport -> metric,value CSV plus DET section; SweepGrid -> long form."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _replacing(path) as fh:
         if isinstance(obj, EvalReport):
             fh.write("metric,value\n")
             fh.write(f"eer,{format_float(obj.eer)}\n")
@@ -431,8 +479,9 @@ def write_report(obj, path) -> None:
             fh.write(f"n_target,{obj.n_target}\n")
             fh.write(f"n_nontarget,{obj.n_nontarget}\n")
             fh.write("det_far,det_miss\n")
-            for far, miss in obj.det_points:
-                fh.write(f"{format_float(far)},{format_float(miss)}\n")
+            det = np.asarray(obj.det_points, dtype=np.float64)
+            _write_chunked(fh, len(det), lambda a, b: (
+                f"{far!r},{miss!r}\n" for far, miss in det[a:b].tolist()))
         elif isinstance(obj, SweepGrid):
             fh.write("n_global,n_local,seed,eer\n")
             for g in obj.axis_global:

@@ -85,6 +85,21 @@ class TestTrain:
         assert run("train", "--data", corpus_file, "--labels", "global",
                    "--seed", 0, "--model", corpus_file) == 1
 
+    def test_output_spelled_differently_must_differ_from_input(
+            self, corpus_file, monkeypatch):
+        before = sha(corpus_file)
+        monkeypatch.chdir(corpus_file.parent)
+        (corpus_file.parent / "sub").mkdir()
+        for alias in (f"./{corpus_file.name}", f"sub/../{corpus_file.name}",
+                      str(corpus_file.resolve())):
+            assert run("train", "--data", corpus_file.name, "--labels", "global",
+                       "--seed", 0, "--model", alias) == 1
+        link = corpus_file.parent / "link.csv"
+        link.symlink_to(corpus_file)
+        assert run("train", "--data", corpus_file, "--labels", "global",
+                   "--seed", 0, "--model", link) == 1
+        assert sha(corpus_file) == before
+
     def test_missing_data_file(self, tmp_path):
         assert run("train", "--data", tmp_path / "nope.csv",
                    "--labels", "global", "--seed", 0,
@@ -185,6 +200,43 @@ class TestEval:
                        "--test", test_path, "--key", key_path,
                        "--report", out, "--threads", 1) == 0
         assert sha(a) == sha(b)
+
+    def test_key_without_nontargets_leaves_no_output(self, scored_setup, tmp_path):
+        model_path, enroll_path, test_path = scored_setup
+        key_path = tmp_path / "key.csv"
+        trials = self._make_key(enroll_path, test_path, key_path)
+        targets = [f"{m},{t},target" for (m, t), y
+                   in zip(trials.iter_trials(), trials.target) if y]
+        key_path.write_text("\n".join(targets) + "\n")
+        report_path, scores_path = tmp_path / "r.csv", tmp_path / "s.csv"
+        assert run("eval", "--model", model_path, "--enroll", enroll_path,
+                   "--test", test_path, "--key", key_path,
+                   "--report", report_path, "--scores", scores_path) == 2
+        assert not report_path.exists()
+        assert not scores_path.exists()
+
+    def test_unwritable_report_removes_scores(self, scored_setup, tmp_path):
+        model_path, enroll_path, test_path = scored_setup
+        key_path = tmp_path / "key.csv"
+        self._make_key(enroll_path, test_path, key_path)
+        report_path, scores_path = tmp_path / "no_dir" / "r.csv", tmp_path / "s.csv"
+        assert run("eval", "--model", model_path, "--enroll", enroll_path,
+                   "--test", test_path, "--key", key_path,
+                   "--report", report_path, "--scores", scores_path) == 2
+        assert not scores_path.exists()
+
+    def test_repeated_key_row(self, scored_setup, tmp_path, capsys):
+        model_path, enroll_path, test_path = scored_setup
+        key_path = tmp_path / "key.csv"
+        self._make_key(enroll_path, test_path, key_path)
+        lines = key_path.read_text().splitlines()
+        key_path.write_text("\n".join(lines + [lines[len(lines) // 2]]) + "\n")
+        report_path = tmp_path / "r.csv"
+        assert run("eval", "--model", model_path, "--enroll", enroll_path,
+                   "--test", test_path, "--key", key_path,
+                   "--report", report_path) == 2
+        assert "duplicate trial pairs" in capsys.readouterr().err
+        assert not report_path.exists()
 
     def test_malformed_key(self, scored_setup, tmp_path):
         model_path, enroll_path, test_path = scored_setup

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plda_local import eval_harness
 from plda_local.data_model import Dataset, UtteranceRecord
 from plda_local.eval_harness import (
     EvalError,
@@ -144,6 +145,26 @@ class TestTrialSet:
     def test_duplicate_pairs_rejected(self):
         with pytest.raises(EvalError):
             TrialSet(["m0"], ["t0"], [0, 0], [0, 0], [True, True])
+
+    def test_unsorted_duplicates_rejected(self):
+        # the repeated pair (m1, t0) sits apart from itself in trial order
+        mi, ti = [1, 0, 2, 1, 0], [0, 2, 1, 2, 1]
+        TrialSet(["m0", "m1", "m2"], ["t0", "t1", "t2"], mi, ti, [False] * 5)
+        with pytest.raises(EvalError, match="duplicate trial pairs"):
+            TrialSet(["m0", "m1", "m2"], ["t0", "t1", "t2"],
+                     mi + [1], ti + [0], [False] * 6)
+
+    @pytest.mark.parametrize("mi, ti", [([0, 1], [2, 0]), ([-1, 1], [0, 0]),
+                                        ([0, 2], [0, 0])])
+    def test_index_out_of_range_rejected(self, mi, ti):
+        # unchecked, (0, 2) and (1, 0) share a pair code over two tests, and
+        # model index -1 aliases m1
+        with pytest.raises(EvalError, match="out of range"):
+            TrialSet(["m0", "m1"], ["t0", "t1"], mi, ti, [True, False])
+
+    def test_empty_and_single_trial_sets(self):
+        assert len(TrialSet(["m0"], ["t0"], [], [], [])) == 0
+        assert len(TrialSet(["m0"], ["t0"], [0], [0], [True])) == 1
 
     def test_from_pairs_missing_key(self):
         with pytest.raises(EvalError):
@@ -293,5 +314,28 @@ class TestReportFiles:
     def test_scores_round_trip(self, tmp_path):
         path = tmp_path / "s.csv"
         rows = [("m0", "t0", 0.987654321098765), ("m1", "t1", -3.25)]
-        write_scores(rows, path)
+        trials = TrialSet.from_pairs([r[:2] for r in rows],
+                                     {r[:2]: False for r in rows})
+        write_scores(trials, [r[2] for r in rows], path)
         assert read_scores(path) == rows
+
+    def test_scores_length_must_match_trials(self, tmp_path):
+        path = tmp_path / "s.csv"
+        trials = TrialSet(["m0"], ["t0", "t1"], [0, 0], [0, 1], [True, False])
+        with pytest.raises(EvalError):
+            write_scores(trials, [0.5], path)
+        assert not path.exists()
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "s.csv"
+        trials = TrialSet(["m0"], ["t0", "t1"], [0, 0], [0, 1], [True, False])
+        write_scores(trials, [0.5, 0.25], path)
+        before = path.read_bytes()
+        # one row per chunk, and the second row's model index out of range:
+        # the first chunk is written before formatting the second raises
+        monkeypatch.setattr(eval_harness, "_CHUNK", 1)
+        trials.model_idx = np.array([0, 7])
+        with pytest.raises(IndexError):
+            write_scores(trials, [1.5, 1.25], path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
