@@ -31,7 +31,6 @@ from .plda import (
     load_model,
     marginal_loglik,
     save_model,
-    score_batch,
     score_llr,
     speaker_posterior,
     train_em,

@@ -1,12 +1,5 @@
 """Hot numeric kernels: per-class E-step statistics and per-trial scoring.
 
-Both kernels exist twice: a numba @njit loop and a pure-numpy path. The numpy
-path is selected when numba is unavailable or when the environment variable
-PLDA_LOCAL_NO_NUMBA is set to a non-empty value. ``benchmarks/bench_kernels.py``
-compares the two.
-
-Kernel contracts (shared by both paths):
-
 estep_stats(A, counts, F) -> (M, R2, ll_lat)
     A:      (K, q) projected class sums, a_i = V' Sigma^-1 s_i
     counts: (K,)   class sizes n_i
@@ -16,28 +9,20 @@ estep_stats(A, counts, F) -> (M, R2, ll_lat)
     ll_lat: scalar sum_i (-1/2 logdet(I + n_i F) + 1/2 a_i . m_i)
 
 score_trials(alpha, U, cidx, AT, beta, pm, pt) -> scores
-    per-trial gather: scores[i] = alpha[pm[i]] + beta[cidx[pm[i]], pt[i]]
-                                  + U[pm[i]] . AT[pt[i]]
+    scores[i] = alpha[m] + beta[cidx[m], t] + U[m] . AT[t],  m = pm[i], t = pt[i]
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_DISABLED = bool(os.environ.get("PLDA_LOCAL_NO_NUMBA"))
+# There is one (numpy) implementation of each kernel; perfbench's machine
+# record reads this flag to report the kernel path.
+HAS_NUMBA = False
 
-try:
-    if _DISABLED:
-        raise ImportError
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
+_BLOCK = 1 << 20  # model x test scores computed at once (8 MB of float64)
 
 
-def estep_stats_np(A, counts, F):
+def estep_stats(A, counts, F):
     K, q = A.shape
     M = np.empty_like(A)
     R2 = np.zeros((q, q))
@@ -56,95 +41,25 @@ def estep_stats_np(A, counts, F):
     return M, R2, ll_lat
 
 
-def score_trials_np(alpha, U, cidx, AT, beta, pm, pt):
-    out = np.empty(pm.shape[0])
-    # chunked to bound the (chunk, q) gather temporaries
-    step = 1 << 18
-    for lo in range(0, pm.shape[0], step):
-        hi = min(lo + step, pm.shape[0])
-        m = pm[lo:hi]
-        t = pt[lo:hi]
-        out[lo:hi] = (
-            alpha[m] + beta[cidx[m], t] + np.einsum("ij,ij->i", U[m], AT[t])
-        )
-    return out
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _estep_stats_nb(A, counts, F):
-        K, q = A.shape
-        # classes sharing a size share (I + n F)^-1; factorize once per size
-        sizes = np.unique(counts)
-        S = sizes.shape[0]
-        Pinv = np.empty((S, q, q))
-        logdets = np.empty(S)
-        for s in range(S):
-            P = sizes[s] * F.copy()
-            for k in range(q):
-                P[k, k] += 1.0
-            L = np.linalg.cholesky(P)
-            logdet = 0.0
-            for k in range(q):
-                logdet += 2.0 * np.log(L[k, k])
-            logdets[s] = logdet
-            Pinv[s] = np.linalg.inv(P)
-        M = np.empty((K, q))
-        R2 = np.zeros((q, q))
-        ll_lat = 0.0
-        for i in range(K):
-            s = np.searchsorted(sizes, counts[i])
-            n = counts[i]
-            quad = 0.0
-            for r in range(q):
-                m_r = 0.0
-                for c in range(q):
-                    m_r += Pinv[s, r, c] * A[i, c]
-                M[i, r] = m_r
-                quad += m_r * A[i, r]
-            for r in range(q):
-                for c in range(q):
-                    R2[r, c] += n * (Pinv[s, r, c] + M[i, r] * M[i, c])
-            ll_lat += -0.5 * logdets[s] + 0.5 * quad
-        return M, R2, ll_lat
-
-    @njit(cache=True)
-    def _score_trials_nb(alpha, U, cidx, AT, beta, pm, pt):
-        N = pm.shape[0]
-        q = U.shape[1]
-        out = np.empty(N)
-        for i in range(N):
-            m = pm[i]
-            t = pt[i]
-            s = alpha[m] + beta[cidx[m], t]
-            for k in range(q):
-                s += U[m, k] * AT[t, k]
-            out[i] = s
+def score_trials(alpha, U, cidx, AT, beta, pm, pt):
+    """Builds the model x test score block a chunk of models at a time (one
+    GEMM each) and reads every trial's score from its model's chunk, so a
+    sparse key over many models and tests never needs the whole block."""
+    out = np.empty(len(pm))
+    if not len(pm):
         return out
-
-    def estep_stats(A, counts, F):
-        if A.shape[1] == 0 or A.shape[0] == 0:
-            return estep_stats_np(A, counts, F)
-        return _estep_stats_nb(
-            np.ascontiguousarray(A),
-            np.ascontiguousarray(counts, dtype=np.int64),
-            np.ascontiguousarray(F),
-        )
-
-    def score_trials(alpha, U, cidx, AT, beta, pm, pt):
-        if U.shape[1] == 0:
-            return score_trials_np(alpha, U, cidx, AT, beta, pm, pt)
-        return _score_trials_nb(
-            np.ascontiguousarray(alpha),
-            np.ascontiguousarray(U),
-            np.ascontiguousarray(cidx, dtype=np.int64),
-            np.ascontiguousarray(AT),
-            np.ascontiguousarray(beta),
-            np.ascontiguousarray(pm, dtype=np.int64),
-            np.ascontiguousarray(pt, dtype=np.int64),
-        )
-
-else:
-    estep_stats = estep_stats_np
-    score_trials = score_trials_np
+    n_models, n_tests = len(alpha), AT.shape[0]
+    order = np.argsort(pm, kind="stable")
+    # order[starts[m]:starts[m + 1]] are the trials of model m
+    starts = np.concatenate([[0], np.cumsum(np.bincount(pm, minlength=n_models))])
+    step = max(1, _BLOCK // n_tests)
+    for a in range(0, n_models, step):
+        b = min(a + step, n_models)
+        sel = order[starts[a]:starts[b]]
+        if not len(sel):
+            continue
+        block = beta[cidx[a:b]]
+        block += alpha[a:b, None]
+        block += U[a:b] @ AT.T
+        out[sel] = block[pm[sel] - a, pt[sel]]
+    return out

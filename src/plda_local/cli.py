@@ -67,7 +67,6 @@ def _build_parser() -> _Parser:
     cp.add_argument("--enroll", required=True)
     cp.add_argument("--test", required=True)
     cp.add_argument("--scores", required=True)
-    cp.add_argument("--threads", type=int, default=1)
 
     ep = sub.add_parser("eval", help="score trials and report EER")
     ep.add_argument("--model", required=True)
@@ -76,7 +75,6 @@ def _build_parser() -> _Parser:
     ep.add_argument("--key", required=True)
     ep.add_argument("--report", required=True)
     ep.add_argument("--scores", default=None)
-    ep.add_argument("--threads", type=int, default=1)
 
     wp = sub.add_parser("sweep", help="EER grid over training-set sizes")
     wp.add_argument("--data", required=True, help="'global.csv,local.csv'")
@@ -90,7 +88,6 @@ def _build_parser() -> _Parser:
     wp.add_argument("--seed", type=int, required=True)
     wp.add_argument("--report", required=True)
     wp.add_argument("--no-whiten", action="store_true")
-    wp.add_argument("--threads", type=int, default=1)
     return p
 
 
@@ -116,8 +113,12 @@ def _cmd_synth(ns) -> int:
         SynthConfig(**{**cfg.__dict__, "truth": truth})
     )
     write_dataset(data, ns.out)
-    plda.save_model(truth, preprocess.Preprocessor.identity(ns.dim),
-                    f"{ns.out}.truth.plda")
+    try:
+        plda.save_model(truth, preprocess.Preprocessor.identity(ns.dim),
+                        f"{ns.out}.truth.plda")
+    except OSError:
+        os.remove(ns.out)
+        raise
     print(f"wrote {len(data)} records to {ns.out}", file=sys.stderr)
     return 0
 
@@ -189,8 +190,7 @@ def _cmd_score(ns) -> int:
     trials = eval_harness.generate_trials(
         sorted(enroll), test, {r.utt_id: r.global_spk or "?" for r in test.records}
     )
-    scores = plda.score_trialset(model, enroll, trials, test_vecs,
-                                 threads=ns.threads)
+    scores = plda.score_trialset(model, enroll, trials, test_vecs)
     eval_harness.write_scores(trials, scores, ns.scores)
     return 0
 
@@ -200,23 +200,9 @@ def _cmd_eval(ns) -> int:
     model, pp, enroll, test, test_vecs = _score_common(ns)
     pairs, key = eval_harness.read_key(ns.key)
     trials = eval_harness.TrialSet.from_pairs(pairs, key)
-    scores = plda.score_trialset(model, enroll, trials, test_vecs,
-                                 threads=ns.threads)
+    scores = plda.score_trialset(model, enroll, trials, test_vecs)
     # everything that can reject the data runs before the first output
-    eer, thr = eval_harness.compute_eer(
-        scores[trials.target], scores[~trials.target]
-    )
-    _, far, frr = eval_harness.det_curve(
-        scores[trials.target], scores[~trials.target]
-    )
-    report = eval_harness.EvalReport(
-        eer=eer,
-        threshold=thr,
-        det_points=np.column_stack([far, frr]),
-        n_target=trials.n_target,
-        n_nontarget=trials.n_nontarget,
-        scores_path=ns.scores,
-    )
+    report = eval_harness.eval_report(scores, trials.target, ns.scores)
     if ns.scores:
         eval_harness.write_scores(trials, scores, ns.scores)
     try:
@@ -225,7 +211,7 @@ def _cmd_eval(ns) -> int:
         if ns.scores:
             os.remove(ns.scores)
         raise
-    print(f"eer {eer:.6f}", file=sys.stderr)
+    print(f"eer {report.eer:.6f}", file=sys.stderr)
     return 0
 
 
@@ -264,7 +250,6 @@ def _cmd_sweep(ns) -> int:
         iterations=ns.iters,
         seed=ns.seed,
         whiten=not ns.no_whiten,
-        threads=ns.threads,
     )
     grid = eval_harness.run_sweep(spec, global_data, local_data, enroll, test, cfg)
     eval_harness.write_report(grid, ns.report)

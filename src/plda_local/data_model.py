@@ -7,6 +7,8 @@ identity. Pooled views take the disjoint union of one view of each kind.
 """
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -191,8 +193,27 @@ def format_float(x: float) -> str:
     return repr(float(x))
 
 
+@contextmanager
+def _replacing(path):
+    """Text file handle on a temporary file beside ``path`` that replaces
+    ``path`` when the block succeeds and is removed when it raises, so a
+    failed write never leaves a partial file. A symlinked ``path`` is
+    written through, as opening it for writing would."""
+    path = os.path.realpath(path)
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
 def write_dataset(data: Dataset, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _replacing(path) as fh:
         fh.write(f"#dim={data.dim}\n")
         for r in data.records:
             spk = r.global_spk if r.global_spk is not None else MISSING

@@ -7,8 +7,6 @@ differences are purely training-side.
 """
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +17,7 @@ from .data_model import (
     build_global_view,
     build_local_view,
     build_pooled_view,
+    _replacing,
     format_float,
     merge_datasets,
 )
@@ -67,14 +66,6 @@ class TrialSet:
     def iter_trials(self):
         return zip(map(self.model_ids.__getitem__, self.model_idx.tolist()),
                    map(self.test_utt_ids.__getitem__, self.test_idx.tolist()))
-
-    def is_target(self, model_id: str, test_utt_id: str) -> bool:
-        m = self.model_ids.index(model_id)
-        t = self.test_utt_ids.index(test_utt_id)
-        hit = np.nonzero((self.model_idx == m) & (self.test_idx == t))[0]
-        if not len(hit):
-            raise EvalError(f"no trial ({model_id}, {test_utt_id})")
-        return bool(self.target[hit[0]])
 
     @classmethod
     def from_pairs(cls, trials, key) -> "TrialSet":
@@ -138,7 +129,10 @@ def det_curve(target_scores, nontarget_scores):
 
 def compute_eer(target_scores, nontarget_scores):
     """EER and threshold via linear interpolation at the FAR/FRR crossing."""
-    thresholds, far, frr = det_curve(target_scores, nontarget_scores)
+    return _eer_crossing(*det_curve(target_scores, nontarget_scores))
+
+
+def _eer_crossing(thresholds, far, frr):
     diff = far - frr  # monotone non-increasing, from +1 to -1
     k = int(np.nonzero(diff >= 0)[0][-1])
     denom = diff[k] - diff[k + 1]
@@ -158,6 +152,22 @@ class EvalReport:
     scores_path: str | None = None
 
 
+def eval_report(scores, target, scores_path=None) -> EvalReport:
+    """EER, threshold and DET points of per-trial scores under a target mask,
+    all read off one DET curve."""
+    thresholds, far, frr = det_curve(scores[target], scores[~target])
+    eer, thr = _eer_crossing(thresholds, far, frr)
+    n_target = int(np.count_nonzero(target))
+    return EvalReport(
+        eer=eer,
+        threshold=thr,
+        det_points=np.column_stack([far, frr]),
+        n_target=n_target,
+        n_nontarget=len(scores) - n_target,
+        scores_path=None if scores_path is None else str(scores_path),
+    )
+
+
 @dataclass(frozen=True)
 class StrategyConfig:
     latent_dim: int
@@ -166,7 +176,6 @@ class StrategyConfig:
     whiten: bool = True
     min_class_size: int = 1
     loglik_tol: float = 1e-7
-    threads: int = 1
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(
@@ -242,22 +251,12 @@ def run_strategy(strategy, global_data, local_data, eval_enroll, eval_test,
             mid: pp.apply(np.stack([r.vector for r in recs]))
             for mid, recs in eval_enroll.items()
         }
-        scores = plda.score_trialset(
-            model, enroll_vecs, trials, test_vecs, threads=cfg.threads
-        )
+        scores = plda.score_trialset(model, enroll_vecs, trials, test_vecs)
 
-    eer, thr = compute_eer(scores[trials.target], scores[~trials.target])
-    _, far, frr = det_curve(scores[trials.target], scores[~trials.target])
+    report = eval_report(scores, trials.target, scores_path)
     if scores_path is not None:
         write_scores(trials, scores, scores_path)
-    return EvalReport(
-        eer=eer,
-        threshold=thr,
-        det_points=np.column_stack([far, frr]),
-        n_target=trials.n_target,
-        n_nontarget=trials.n_nontarget,
-        scores_path=None if scores_path is None else str(scores_path),
-    )
+    return report
 
 
 @dataclass(frozen=True)
@@ -370,32 +369,12 @@ def _sweep_cell(rng, g, l, g_classes, l_classes, g_view, l_view,
         for mid, recs in eval_enroll.items()
     }
     test_vecs = {r.utt_id: pp.apply(r.vector) for r in eval_test.records}
-    scores = plda.score_trialset(model, enroll_vecs, trials, test_vecs,
-                                 threads=cfg.threads)
+    scores = plda.score_trialset(model, enroll_vecs, trials, test_vecs)
     eer, _ = compute_eer(scores[trials.target], scores[~trials.target])
     return eer
 
 
 _CHUNK = 1 << 16  # rows formatted per write
-
-
-@contextmanager
-def _replacing(path):
-    """Text file handle on a temporary file beside ``path`` that replaces
-    ``path`` when the block succeeds and is removed when it raises, so a
-    failed write never leaves a partial file. A symlinked ``path`` is
-    written through, as opening it for writing would."""
-    path = os.path.realpath(path)
-    head, tail = os.path.split(path)
-    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
-    fh = open(tmp, "x", encoding="utf-8", newline="\n")
-    try:
-        with fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        os.remove(tmp)
-        raise
 
 
 def _write_chunked(fh, n, lines):

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from . import _kernels
-from .data_model import Dataset, LabelView, format_float
+from .data_model import Dataset, LabelView, _replacing, format_float
 from .preprocess import Preprocessor
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -202,8 +202,8 @@ def score_llr(model: PldaModel, enroll, test) -> float:
     )
 
 
-def score_trialset(model: PldaModel, enroll_models: dict, trials, test_vectors: dict,
-                   threads: int = 1) -> np.ndarray:
+def score_trialset(model: PldaModel, enroll_models: dict, trials,
+                   test_vectors: dict) -> np.ndarray:
     """Scores for every trial in a TrialSet, in trial order.
 
     enroll_models maps model id to its list of enrollment vectors;
@@ -235,13 +235,11 @@ def score_trialset(model: PldaModel, enroll_models: dict, trials, test_vectors: 
     ]) if test_ids else np.empty((0, q))
 
     Q1, L1 = model.count_terms(1)
-    distinct = sorted(set(int(n) for n in counts))
-    cpos = {n: i for i, n in enumerate(distinct)}
-    cidx = np.array([cpos[int(n)] for n in counts], dtype=np.int64)
+    distinct, cidx = np.unique(counts, return_inverse=True)
     alpha = np.empty(Mn)
     U = np.empty((Mn, q))
     beta = np.empty((len(distinct), AT.shape[0]))
-    for i, n in enumerate(distinct):
+    for i, n in enumerate(distinct.tolist()):
         Qn, Ln = model.count_terms(n)
         Qj, Lj = model.count_terms(n + 1)
         sel = cidx == i
@@ -254,30 +252,8 @@ def score_trialset(model: PldaModel, enroll_models: dict, trials, test_vectors: 
         U[sel] = E @ Qj.T
         beta[i] = 0.5 * np.einsum("tq,qr,tr->t", AT, Qj - Q1, AT)
 
-    pm = trials.model_idx
-    pt = trials.test_idx
-    if threads <= 1 or len(pm) < 1 << 16:
-        return _kernels.score_trials(alpha, U, cidx, AT, beta, pm, pt)
-    from concurrent.futures import ThreadPoolExecutor
-
-    bounds = np.linspace(0, len(pm), threads + 1, dtype=int)
-    chunks = [(pm[a:b], pt[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        parts = list(ex.map(
-            lambda c: _kernels.score_trials(alpha, U, cidx, AT, beta, c[0], c[1]),
-            chunks,
-        ))
-    return np.concatenate(parts)
-
-
-def score_batch(model: PldaModel, enroll_models: dict, trials, test_vectors: dict,
-                threads: int = 1):
-    """score_llr applied to every trial; returns (model_id, utt_id, score) rows."""
-    scores = score_trialset(model, enroll_models, trials, test_vectors, threads=threads)
-    return [
-        (mid, tid, float(s))
-        for (mid, tid), s in zip(trials.iter_trials(), scores)
-    ]
+    return _kernels.score_trials(alpha, U, cidx, AT, beta,
+                                 trials.model_idx, trials.test_idx)
 
 
 def _collect_classes(data: Dataset, view: LabelView, pp: Preprocessor | None,
@@ -383,7 +359,7 @@ def _write_rows(fh, mat: np.ndarray):
 
 def save_model(model: PldaModel, pp: Preprocessor, path) -> None:
     d, q = model.dim, model.latent_dim
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _replacing(path) as fh:
         fh.write(f"#plda dim={d} q={q}\n")
         fh.write("u:\n")
         _write_rows(fh, model.u)

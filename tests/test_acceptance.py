@@ -253,16 +253,15 @@ class TestAcceptance:
             write_key(trials, d / "key.csv")
 
             run("score", "--model", d / "m.plda", "--enroll", d / "enroll.csv",
-                "--test", d / "test.csv", "--scores", d / "scores.csv",
-                "--threads", 1)
+                "--test", d / "test.csv", "--scores", d / "scores.csv")
             run("eval", "--model", d / "m.plda", "--enroll", d / "enroll.csv",
                 "--test", d / "test.csv", "--key", d / "key.csv",
-                "--report", d / "report.csv", "--threads", 1)
+                "--report", d / "report.csv")
             run("sweep", "--data", f"{d / 'data.csv'},{d / 'local.csv'}",
                 "--enroll", d / "enroll.csv", "--test", d / "test.csv",
                 "--grid-global", "0,20", "--grid-local", "20", "--repeats", 2,
                 "--q", 2, "--iters", 4, "--seed", 1,
-                "--report", d / "grid.csv", "--threads", 1)
+                "--report", d / "grid.csv")
 
             hashes[tag] = {
                 name: sha(d / name)

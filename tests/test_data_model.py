@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from plda_local import data_model, eval_harness, plda
 from plda_local.data_model import (
     DataError,
     Dataset,
@@ -15,7 +16,9 @@ from plda_local.data_model import (
     read_dataset,
     write_dataset,
 )
-from _helpers import corpus
+from plda_local.eval_harness import SweepGrid
+from plda_local.preprocess import Preprocessor
+from _helpers import corpus, random_model
 
 
 def rec(utt, conv="c1", slot=0, spk="A", vec=(1.0, 2.0)):
@@ -228,3 +231,37 @@ class TestFileRoundTrip:
         p.write_text("#dim=1\nu1,a:b,0,A,1.0\n")
         with pytest.raises(ParseError, match="line 2"):
             read_dataset(p)
+
+
+# writer -> (module whose format_float it calls, calls before the failure, write)
+WRITERS = {
+    "write_dataset": (data_model, 10, lambda path: write_dataset(
+        corpus(seed=2, dim=4, q=2, nconv=3, slots=1, utts=2), path)),
+    "save_model": (plda, 10, lambda path: plda.save_model(
+        random_model(np.random.default_rng(0), 4, 2), Preprocessor.identity(4), path)),
+    "write_report": (eval_harness, 2, lambda path: eval_harness.write_report(
+        SweepGrid(axis_global=(0, 5), axis_local=(10,), repeats=2,
+                  cells={(0, 10): np.array([0.1, 0.2]), (5, 10): np.array([0.0, 0.5])}),
+        path)),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch, writer):
+    module, good_calls, write = WRITERS[writer]
+    path = tmp_path / "out.csv"
+    path.write_text("old contents\n")
+    calls = []
+
+    def failing_format(x):
+        if len(calls) == good_calls:
+            raise RuntimeError("format failed")
+        calls.append(x)
+        return repr(float(x))
+
+    monkeypatch.setattr(module, "format_float", failing_format)
+    with pytest.raises(RuntimeError):
+        write(path)
+    assert len(calls) == good_calls
+    assert path.read_text() == "old contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]

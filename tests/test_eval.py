@@ -49,7 +49,8 @@ class TestGenerateTrials:
         trials = generate_trials(["m0"], test, key)
         assert len(trials) == 1
         assert trials.n_target == 1
-        assert trials.is_target("m0", "t0")
+        assert list(trials.iter_trials()) == [("m0", "t0")]
+        assert trials.target.tolist() == [True]
 
     def test_unkeyable_utterance(self):
         test = tiny_test_set(n=2)

@@ -1,45 +1,13 @@
-import os
-import subprocess
-import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from plda_local import _kernels
-
-
-def _estep_inputs(seed, K=50, q=3):
-    rng = np.random.default_rng(seed)
-    A = rng.normal(size=(K, q))
-    counts = rng.integers(1, 8, size=K).astype(np.int64)
-    M = rng.normal(size=(q, q))
-    F = M @ M.T / q
-    return A, counts, F
-
-
-@pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba path not active")
-class TestNumbaAgreement:
-    def test_estep_stats(self):
-        A, counts, F = _estep_inputs(0)
-        M1, R1, ll1 = _kernels.estep_stats_np(A, counts, F)
-        M2, R2, ll2 = _kernels.estep_stats(A, counts, F)
-        np.testing.assert_allclose(M1, M2, atol=1e-10)
-        np.testing.assert_allclose(R1, R2, atol=1e-10)
-        assert ll1 == pytest.approx(ll2, abs=1e-8)
-
-    def test_score_trials(self):
-        rng = np.random.default_rng(1)
-        Mn, T, q, C, N = 20, 30, 4, 3, 500
-        alpha = rng.normal(size=Mn)
-        U = rng.normal(size=(Mn, q))
-        cidx = rng.integers(0, C, size=Mn).astype(np.int64)
-        AT = rng.normal(size=(T, q))
-        beta = rng.normal(size=(C, T))
-        pm = rng.integers(0, Mn, size=N).astype(np.int64)
-        pt = rng.integers(0, T, size=N).astype(np.int64)
-        s1 = _kernels.score_trials_np(alpha, U, cidx, AT, beta, pm, pt)
-        s2 = _kernels.score_trials(alpha, U, cidx, AT, beta, pm, pt)
-        np.testing.assert_allclose(s1, s2, atol=1e-12)
+from plda_local.data_model import Dataset, UtteranceRecord
+from plda_local.eval_harness import TrialSet, generate_trials
+from plda_local.plda import score_trialset
+from _helpers import dense_llr, random_model
 
 
 class TestNumpyPath:
@@ -52,11 +20,94 @@ class TestNumpyPath:
         assert R2.shape == (0, 0)
         assert ll == 0.0
 
-    def test_env_flag_disables_numba(self):
-        env = dict(os.environ, PLDA_LOCAL_NO_NUMBA="1")
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "from plda_local import _kernels; print(_kernels.HAS_NUMBA)"],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        assert out.stdout.strip() == "False"
+
+def _material(seed, d=4, q=2, n_models=9, n_tests=11):
+    """Model, enrollment sets of 1-4 vectors and test vectors."""
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, d, q)
+    enroll = {f"m{i}": rng.normal(size=(int(rng.integers(1, 5)), d))
+              for i in range(n_models)}
+    tests = {f"t{j}": rng.normal(size=d) for j in range(n_tests)}
+    return rng, model, enroll, tests
+
+
+def _sparse_keyed(rng, enroll, tests, share=0.4):
+    """A shuffled key over a random share of the model x test pairs."""
+    pairs = [(m, t) for m in enroll for t in tests if rng.random() < share]
+    pairs = [pairs[i] for i in rng.permutation(len(pairs))]
+    key = {p: bool(rng.random() < 0.3) for p in pairs}
+    return TrialSet.from_pairs(pairs, key)
+
+
+def _assert_matches_oracle(model, enroll, tests, trials):
+    scores = score_trialset(model, enroll, trials, tests)
+    assert scores.shape == (len(trials),)
+    for (mid, tid), s in zip(trials.iter_trials(), scores):
+        assert s == pytest.approx(dense_llr(model, enroll[mid], tests[tid]),
+                                  rel=1e-9, abs=1e-9)
+
+
+class TestScoreTrialset:
+    """score_trialset against the dense joint-Gaussian oracle."""
+
+    def test_sparse_shuffled_key(self):
+        rng, model, enroll, tests = _material(0)
+        trials = _sparse_keyed(rng, enroll, tests)
+        assert len({len(v) for v in enroll.values()}) > 1
+        assert 0 < len(trials) < len(enroll) * len(tests)
+        _assert_matches_oracle(model, enroll, tests, trials)
+
+    def test_full_cross_product(self):
+        _, model, enroll, tests = _material(1, n_models=6, n_tests=8)
+        test = Dataset(model.dim, tuple(
+            UtteranceRecord(utt_id=t, conv_id="c", slot=0, global_spk=f"m{j % 6}",
+                            vector=v)
+            for j, (t, v) in enumerate(tests.items())
+        ))
+        trials = generate_trials(sorted(enroll), test,
+                                 {r.utt_id: r.global_spk for r in test.records})
+        assert len(trials) == 48
+        _assert_matches_oracle(model, enroll, tests, trials)
+
+    def test_q0_model(self):
+        rng, model, enroll, tests = _material(2, q=0)
+        _assert_matches_oracle(model, enroll, tests, _sparse_keyed(rng, enroll, tests))
+
+    def test_no_trials(self):
+        _, model, enroll, tests = _material(3)
+        trials = TrialSet(["m0"], ["t0"], [], [], [])
+        assert score_trialset(model, enroll, trials, tests).shape == (0,)
+
+    @pytest.mark.parametrize("block", [1, 11, 23, 40])
+    def test_spans_model_chunks(self, monkeypatch, block):
+        # 11 tests: blocks of 1 and 11 scores take one model per chunk,
+        # 23 two and 40 three; models m2 and m5 have no trials at all
+        rng, model, enroll, tests = _material(4)
+        monkeypatch.setattr(_kernels, "_BLOCK", block)
+        mids, tids = list(enroll), list(tests)
+        pairs = [(m, t) for m in range(len(mids)) for t in range(len(tids))
+                 if m not in (2, 5) and rng.random() < 0.5]
+        pairs = [pairs[i] for i in rng.permutation(len(pairs))]
+        trials = TrialSet(mids, tids, [m for m, _ in pairs], [t for _, t in pairs],
+                          [False] * len(pairs))
+        _assert_matches_oracle(model, enroll, tests, trials)
+
+    def test_sparse_key_memory_stays_far_below_the_full_block(self):
+        # a diagonal key over 4000 x 4000: the whole score block would be 128 MB
+        n, d = 4000, 3
+        rng = np.random.default_rng(5)
+        model = random_model(rng, d, 2)
+        enroll = {f"m{i}": rng.normal(size=(1, d)) for i in range(n)}
+        tests = {f"t{i}": rng.normal(size=d) for i in range(n)}
+        trials = TrialSet(list(enroll), list(tests), np.arange(n), np.arange(n),
+                          np.ones(n, dtype=bool))
+        tracemalloc.start()
+        try:
+            scores = score_trialset(model, enroll, trials, tests)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 4
+        for i in (0, 1234, n - 1):
+            assert scores[i] == pytest.approx(
+                dense_llr(model, enroll[f"m{i}"], tests[f"t{i}"]), rel=1e-9, abs=1e-9)

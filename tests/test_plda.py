@@ -11,8 +11,8 @@ from plda_local.plda import (
     load_model,
     marginal_loglik,
     save_model,
-    score_batch,
     score_llr,
+    score_trialset,
     speaker_posterior,
     train_em,
 )
@@ -236,6 +236,8 @@ class TestTrainEm:
 
 
 class TestScoreBatch:
+    """score_trialset over a cross product against looped score_llr."""
+
     def _setup(self, seed=0, n_models=10, n_tests=10):
         rng = np.random.default_rng(seed)
         m = random_model(rng, 5, 2)
@@ -255,17 +257,17 @@ class TestScoreBatch:
 
     def test_singleton_matches_score_llr(self):
         m, enroll, trials, test_vecs = self._setup(n_models=1, n_tests=1)
-        out = score_batch(m, enroll, trials, test_vecs)
-        assert len(out) == 1
-        mid, tid, s = out[0]
-        assert s == pytest.approx(
+        scores = score_trialset(m, enroll, trials, test_vecs)
+        assert len(scores) == 1
+        [(mid, tid)] = trials.iter_trials()
+        assert scores[0] == pytest.approx(
             score_llr(m, enroll[mid], test_vecs[tid]), abs=1e-12
         )
 
     def test_matches_looped_score_llr(self):
         m, enroll, trials, test_vecs = self._setup(seed=1, n_models=20, n_tests=20)
-        out = score_batch(m, enroll, trials, test_vecs)
-        for mid, tid, s in out:
+        scores = score_trialset(m, enroll, trials, test_vecs)
+        for (mid, tid), s in zip(trials.iter_trials(), scores):
             assert s == pytest.approx(
                 score_llr(m, enroll[mid], test_vecs[tid]), abs=1e-12
             )
@@ -274,14 +276,7 @@ class TestScoreBatch:
         m, enroll, trials, test_vecs = self._setup()
         enroll.pop(sorted(enroll)[0])
         with pytest.raises(PldaError, match="m0"):
-            score_batch(m, enroll, trials, test_vecs)
-
-    def test_threads_agree(self):
-        from plda_local.plda import score_trialset
-        m, enroll, trials, test_vecs = self._setup(seed=2, n_models=30, n_tests=30)
-        s1 = score_trialset(m, enroll, trials, test_vecs, threads=1)
-        s4 = score_trialset(m, enroll, trials, test_vecs, threads=4)
-        np.testing.assert_allclose(s1, s4, atol=1e-10)
+            score_trialset(m, enroll, trials, test_vecs)
 
 
 class TestModelFile:
