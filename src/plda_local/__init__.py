@@ -35,7 +35,7 @@ from .plda import (
     speaker_posterior,
     train_em,
 )
-from .preprocess import Preprocessor, cosine_score, fit, length_normalize
+from .preprocess import Preprocessor, cosine_score, fit
 from .synth import EvalSplit, SynthConfig, sample_conversations, sample_truth, split_eval
 
 __version__ = "0.1.0"

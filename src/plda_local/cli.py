@@ -9,15 +9,13 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import eval_harness, plda, preprocess, synth
 from .data_model import (
     DataError,
-    Dataset,
     build_global_view,
     build_local_view,
     build_pooled_view,
+    group_by_speaker,
     merge_datasets,
     read_dataset,
     write_dataset,
@@ -166,43 +164,30 @@ def _cmd_train(ns) -> int:
     return 0
 
 
-def _enroll_models(path, pp):
-    data = read_dataset(path)
-    groups: dict[str, list[np.ndarray]] = {}
-    for r in data.records:
-        if r.global_spk is None:
-            raise DataError(f"enrollment record {r.utt_id} has no speaker id")
-        groups.setdefault(r.global_spk, []).append(r.vector)
-    return {mid: pp.apply(np.stack(vs)) for mid, vs in groups.items()}
-
-
-def _score_common(ns):
-    model, pp = plda.load_model(ns.model)
-    enroll = _enroll_models(ns.enroll, pp)
-    test = read_dataset(ns.test)
-    test_vecs = {r.utt_id: pp.apply(r.vector) for r in test.records}
-    return model, pp, enroll, test, test_vecs
-
-
 def _cmd_score(ns) -> int:
     _check_distinct(ns.model, ns.enroll, ns.test, ns.scores)
-    model, pp, enroll, test, test_vecs = _score_common(ns)
+    model, pp = plda.load_model(ns.model)
+    enroll = group_by_speaker(read_dataset(ns.enroll))
+    test = read_dataset(ns.test)
+    enroll_vecs, test_vecs = eval_harness.preprocess_split(pp, enroll, test)
     trials = eval_harness.generate_trials(
         sorted(enroll), test, {r.utt_id: r.global_spk or "?" for r in test.records}
     )
-    scores = plda.score_trialset(model, enroll, trials, test_vecs)
+    scores = plda.score_trialset(model, enroll_vecs, trials, test_vecs)
     eval_harness.write_scores(trials, scores, ns.scores)
     return 0
 
 
 def _cmd_eval(ns) -> int:
     _check_distinct(ns.model, ns.enroll, ns.test, ns.key, ns.report, ns.scores)
-    model, pp, enroll, test, test_vecs = _score_common(ns)
+    model, pp = plda.load_model(ns.model)
+    enroll_vecs, test_vecs = eval_harness.preprocess_split(
+        pp, group_by_speaker(read_dataset(ns.enroll)), read_dataset(ns.test))
     pairs, key = eval_harness.read_key(ns.key)
     trials = eval_harness.TrialSet.from_pairs(pairs, key)
-    scores = plda.score_trialset(model, enroll, trials, test_vecs)
+    scores = plda.score_trialset(model, enroll_vecs, trials, test_vecs)
     # everything that can reject the data runs before the first output
-    report = eval_harness.eval_report(scores, trials.target, ns.scores)
+    report = eval_harness.eval_report(scores, trials.target)
     if ns.scores:
         eval_harness.write_scores(trials, scores, ns.scores)
     try:
@@ -229,14 +214,8 @@ def _cmd_sweep(ns) -> int:
     _check_distinct(*paths, ns.enroll, ns.test, ns.report)
     global_data = read_dataset(paths[0])
     local_data = read_dataset(paths[1])
-    enroll_data = read_dataset(ns.enroll)
+    enroll = group_by_speaker(read_dataset(ns.enroll))
     test = read_dataset(ns.test)
-
-    enroll: dict[str, list] = {}
-    for r in enroll_data.records:
-        if r.global_spk is None:
-            raise DataError(f"enrollment record {r.utt_id} has no speaker id")
-        enroll.setdefault(r.global_spk, []).append(r)
 
     q = ns.q if ns.q is not None else global_data.dim // 2
     spec = SweepSpec(

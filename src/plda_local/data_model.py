@@ -158,14 +158,21 @@ class LabelView:
         return {frozenset(m) for m in self.classes.values()}
 
 
-def build_global_view(data: Dataset) -> LabelView:
-    """One class per distinct global speaker id."""
-    classes: dict[str, list[str]] = {}
+def group_by_speaker(data: Dataset) -> dict[str, list[UtteranceRecord]]:
+    """Records per global speaker id: speakers in order of first appearance,
+    records in dataset order. A record without one raises LabelingError."""
+    groups: dict[str, list[UtteranceRecord]] = {}
     for r in data.records:
         if r.global_spk is None:
             raise LabelingError(f"record {r.utt_id} has no global speaker label")
-        classes.setdefault(r.global_spk, []).append(r.utt_id)
-    return LabelView("global", {k: tuple(v) for k, v in classes.items()})
+        groups.setdefault(r.global_spk, []).append(r)
+    return groups
+
+
+def build_global_view(data: Dataset) -> LabelView:
+    """One class per distinct global speaker id."""
+    return LabelView("global", {k: tuple(r.utt_id for r in v)
+                                for k, v in group_by_speaker(data).items()})
 
 
 def build_local_view(data: Dataset) -> LabelView:

@@ -7,13 +7,14 @@ differences are purely training-side.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import plda, preprocess
+from . import _kernels, plda, preprocess
 from .data_model import (
     Dataset,
+    LabelView,
     build_global_view,
     build_local_view,
     build_pooled_view,
@@ -149,10 +150,9 @@ class EvalReport:
     det_points: np.ndarray  # (K, 2) columns (false-alarm rate, miss rate)
     n_target: int
     n_nontarget: int
-    scores_path: str | None = None
 
 
-def eval_report(scores, target, scores_path=None) -> EvalReport:
+def eval_report(scores, target) -> EvalReport:
     """EER, threshold and DET points of per-trial scores under a target mask,
     all read off one DET curve."""
     thresholds, far, frr = det_curve(scores[target], scores[~target])
@@ -164,7 +164,6 @@ def eval_report(scores, target, scores_path=None) -> EvalReport:
         det_points=np.column_stack([far, frr]),
         n_target=n_target,
         n_nontarget=len(scores) - n_target,
-        scores_path=None if scores_path is None else str(scores_path),
     )
 
 
@@ -216,16 +215,42 @@ def _training_material(strategy, global_data, local_data):
     raise EvalError(f"unknown strategy {strategy!r}")
 
 
-def _cosine_scores(pp, eval_enroll, trials, test_vecs):
-    enroll_dirs = {}
-    for mid, recs in eval_enroll.items():
-        normed = pp.apply(np.stack([r.vector for r in recs]))
-        mean = normed.mean(axis=0)
-        enroll_dirs[mid] = mean / np.linalg.norm(mean)
-    E = np.stack([enroll_dirs[m] for m in trials.model_ids])
-    T = np.stack([test_vecs[t] for t in trials.test_utt_ids])
-    full = E @ T.T
-    return full[trials.model_idx, trials.test_idx]
+def preprocess_split(pp, enroll: dict, test: Dataset):
+    """An enrollment/test split's vectors after one ``pp.apply`` per side.
+
+    ``enroll`` maps model id to its records. Returns ``score_trialset``'s
+    inputs: {model id: its rows}, in sorted model order, and {test utt_id:
+    its row}.
+    """
+    model_ids = sorted(enroll)
+    rows = [r.vector for m in model_ids for r in enroll[m]]
+    E = pp.apply(np.stack(rows) if rows else np.empty((0, pp.dim)))
+    T = pp.apply(test.vectors())
+    cuts = np.cumsum([len(enroll[m]) for m in model_ids[:-1]], dtype=np.int64)
+    return (dict(zip(model_ids, np.split(E, cuts))),
+            dict(zip([r.utt_id for r in test.records], T)))
+
+
+def _train_and_score(train_data, view, cfg: StrategyConfig, eval_enroll, eval_test,
+                     trials: TrialSet) -> np.ndarray:
+    """Fit the preprocessor on train_data, train PLDA under the label view
+    and score the trials of the enroll/test split; a view of None scores
+    cosines instead of training."""
+    pp = preprocess.fit(train_data.vectors(), whiten=cfg.whiten)
+    model = (None if view is None
+             else train_em(train_data, view, pp, cfg.train_config())[0])
+    enroll_vecs, test_vecs = preprocess_split(pp, eval_enroll, eval_test)
+    if model is not None:
+        return plda.score_trialset(model, enroll_vecs, trials, test_vecs)
+    # cosine of the mean enrollment direction and the test vector: the PLDA
+    # score kernel with zero offsets
+    U = np.stack([enroll_vecs[m].mean(axis=0) for m in trials.model_ids])
+    U /= np.linalg.norm(U, axis=1, keepdims=True)
+    AT = np.stack([test_vecs[t] for t in trials.test_utt_ids])
+    M = len(U)
+    return _kernels.score_trials(np.zeros(M), U, np.zeros(M, dtype=np.int64), AT,
+                                 np.zeros((1, len(AT))), trials.model_idx,
+                                 trials.test_idx)
 
 
 def run_strategy(strategy, global_data, local_data, eval_enroll, eval_test,
@@ -237,23 +262,10 @@ def run_strategy(strategy, global_data, local_data, eval_enroll, eval_test,
     scores are written to scores_path when given.
     """
     train_data, view = _training_material(strategy, global_data, local_data)
-    pp = preprocess.fit(train_data.vectors(), whiten=cfg.whiten)
-
     key_source = {r.utt_id: r.global_spk for r in eval_test.records}
     trials = generate_trials(sorted(eval_enroll), eval_test, key_source)
-    test_vecs = {r.utt_id: pp.apply(r.vector) for r in eval_test.records}
-
-    if strategy == "cosine":
-        scores = _cosine_scores(pp, eval_enroll, trials, test_vecs)
-    else:
-        model, _ = train_em(train_data, view, pp, cfg.train_config())
-        enroll_vecs = {
-            mid: pp.apply(np.stack([r.vector for r in recs]))
-            for mid, recs in eval_enroll.items()
-        }
-        scores = plda.score_trialset(model, enroll_vecs, trials, test_vecs)
-
-    report = eval_report(scores, trials.target, scores_path)
+    scores = _train_and_score(train_data, view, cfg, eval_enroll, eval_test, trials)
+    report = eval_report(scores, trials.target)
     if scores_path is not None:
         write_scores(trials, scores, scores_path)
     return report
@@ -283,9 +295,6 @@ class SweepGrid:
     def mean(self, g: int, l: int) -> float:
         return float(np.mean(self.cells[(g, l)]))
 
-    def std(self, g: int, l: int) -> float:
-        return float(np.std(self.cells[(g, l)]))
-
 
 def run_sweep(spec: SweepSpec, global_data, local_data, eval_enroll, eval_test,
               cfg: StrategyConfig) -> SweepGrid:
@@ -299,6 +308,7 @@ def run_sweep(spec: SweepSpec, global_data, local_data, eval_enroll, eval_test,
     l_view = build_local_view(local_data) if local_data is not None else None
     g_classes = sorted(g_view.classes) if g_view else []
     l_classes = sorted(l_view.classes) if l_view else []
+    sides = ((global_data, g_view, g_classes), (local_data, l_view, l_classes))
 
     key_source = {r.utt_id: r.global_spk for r in eval_test.records}
     trials = generate_trials(sorted(eval_enroll), eval_test, key_source)
@@ -316,13 +326,18 @@ def run_sweep(spec: SweepSpec, global_data, local_data, eval_enroll, eval_test,
             for rep in range(spec.repeats):
                 seed = spec.base_seed + rep
                 rng = np.random.default_rng([seed, g, l])
-                eers.append(
-                    _sweep_cell(
-                        rng, g, l, g_classes, l_classes, g_view, l_view,
-                        global_data, local_data, eval_enroll, eval_test,
-                        trials, key_source, cfg, seed,
-                    )
-                )
+                parts = [_draw_classes(rng, n, *side)
+                         for n, side in zip((g, l), sides) if n > 0]
+                if len(parts) == 2:
+                    train_data = merge_datasets(parts[0][0], parts[1][0])
+                    view = build_pooled_view(parts[0][1], parts[1][1])
+                else:
+                    train_data, view = parts[0]
+                scores = _train_and_score(train_data, view, replace(cfg, seed=seed),
+                                          eval_enroll, eval_test, trials)
+                eer, _ = compute_eer(scores[trials.target], scores[~trials.target])
+                eers.append(eer)
+                del scores  # not held while the next cell trains
             cells[(g, l)] = np.array(eers)
     return SweepGrid(
         axis_global=tuple(spec.axis_global),
@@ -332,46 +347,12 @@ def run_sweep(spec: SweepSpec, global_data, local_data, eval_enroll, eval_test,
     )
 
 
-def _sweep_cell(rng, g, l, g_classes, l_classes, g_view, l_view,
-                global_data, local_data, eval_enroll, eval_test,
-                trials, key_source, cfg, seed):
-    from .data_model import LabelView
-
-    parts = []
-    if g > 0:
-        chosen = [g_classes[i] for i in rng.choice(len(g_classes), size=g, replace=False)]
-        sub = LabelView("global", {c: g_view.classes[c] for c in chosen})
-        utts = [u for c in chosen for u in g_view.classes[c]]
-        parts.append((global_data.subset(utts), sub))
-    if l > 0:
-        chosen = [l_classes[i] for i in rng.choice(len(l_classes), size=l, replace=False)]
-        sub = LabelView("local", {c: l_view.classes[c] for c in chosen})
-        utts = [u for c in chosen for u in l_view.classes[c]]
-        parts.append((local_data.subset(utts), sub))
-
-    if len(parts) == 2:
-        train_data = merge_datasets(parts[0][0], parts[1][0])
-        view = build_pooled_view(parts[0][1], parts[1][1])
-    else:
-        train_data, view = parts[0]
-
-    pp = preprocess.fit(train_data.vectors(), whiten=cfg.whiten)
-    tc = TrainConfig(
-        latent_dim=cfg.latent_dim,
-        iterations=cfg.iterations,
-        seed=seed,
-        min_class_size=cfg.min_class_size,
-        loglik_tol=cfg.loglik_tol,
-    )
-    model, _ = train_em(train_data, view, pp, tc)
-    enroll_vecs = {
-        mid: pp.apply(np.stack([r.vector for r in recs]))
-        for mid, recs in eval_enroll.items()
-    }
-    test_vecs = {r.utt_id: pp.apply(r.vector) for r in eval_test.records}
-    scores = plda.score_trialset(model, enroll_vecs, trials, test_vecs)
-    eer, _ = compute_eer(scores[trials.target], scores[~trials.target])
-    return eer
+def _draw_classes(rng, n, data, view, names):
+    """n of the view's classes, drawn without replacement from its sorted
+    class ``names``: their records and their sub-view."""
+    chosen = [names[i] for i in rng.choice(len(names), size=n, replace=False)]
+    sub = LabelView(view.strategy, {c: view.classes[c] for c in chosen})
+    return data.subset([u for c in chosen for u in sub.classes[c]]), sub
 
 
 _CHUNK = 1 << 16  # rows formatted per write

@@ -220,19 +220,16 @@ def score_trialset(model: PldaModel, enroll_models: dict, trials,
         if tid not in test_vectors:
             raise PldaError(f"unresolved test utt_id {tid!r}")
 
-    Mn = len(model_ids)
-    counts = np.array([len(np.atleast_2d(np.asarray(enroll_models[m]))) for m in model_ids])
+    groups = [np.atleast_2d(np.asarray(enroll_models[m], dtype=np.float64))
+              for m in model_ids]
+    counts = np.array([len(g) for g in groups], dtype=np.int64)
     if np.any(counts < 1):
         raise PldaError("empty enrollment set")
-    AE = np.stack([
-        model.project(np.sum(np.atleast_2d(np.asarray(enroll_models[m], dtype=np.float64))
-                             - model.u, axis=0))
-        for m in model_ids
-    ]) if Mn else np.empty((0, q))
-    AT = np.stack([
-        model.project(np.asarray(test_vectors[t], dtype=np.float64) - model.u)
-        for t in test_ids
-    ]) if test_ids else np.empty((0, q))
+    Mn, empty = len(model_ids), np.empty((0, model.dim))
+    AE = model.project(np.stack([np.sum(g - model.u, axis=0) for g in groups])
+                       if Mn else empty)
+    AT = model.project((np.stack([test_vectors[t] for t in test_ids])
+                        if test_ids else empty) - model.u)
 
     Q1, L1 = model.count_terms(1)
     distinct, cidx = np.unique(counts, return_inverse=True)
@@ -410,6 +407,9 @@ def load_model(path):
         q = int(fields["q"])
     except (ValueError, KeyError):
         raise ModelFormatError(f"{path}: malformed header {lines[0]!r}") from None
+    if d < 1 or q < 0:
+        raise ModelFormatError(f"{path}: header needs dim >= 1 and q >= 0, "
+                               f"got {lines[0]!r}")
 
     pos = 1
     arrays = {}

@@ -48,16 +48,19 @@ class Preprocessor:
         return cls(mean=np.zeros(dim), whitener=np.eye(dim), fitted_on=0)
 
     def apply(self, vectors: np.ndarray) -> np.ndarray:
-        """Length-normalize one vector or a batch of row vectors."""
+        """Center, whiten and length-normalize one vector or a batch of row
+        vectors."""
         v = np.asarray(vectors, dtype=np.float64)
-        if v.ndim == 1:
-            return length_normalize(self, v)
-        centered = (v - self.mean) @ self.whitener.T
+        if v.ndim not in (1, 2) or v.shape[-1] != self.dim:
+            raise PreprocessError(
+                f"vectors have shape {v.shape}, expected dimension {self.dim}")
+        centered = (np.atleast_2d(v) - self.mean) @ self.whitener.T
         norms = np.linalg.norm(centered, axis=1, keepdims=True)
         if np.any(norms < 1e-12):
             bad = int(np.argmin(norms))
             raise PreprocessError(f"degenerate vector at batch index {bad}")
-        return centered / norms
+        out = centered / norms
+        return out[0] if v.ndim == 1 else out
 
 
 def fit(vectors, whiten: bool = True) -> Preprocessor:
@@ -83,18 +86,6 @@ def fit(vectors, whiten: bool = True) -> Preprocessor:
     W = (evecs / np.sqrt(evals)) @ evecs.T
     W = 0.5 * (W + W.T)
     return Preprocessor(mean=mean, whitener=W, fitted_on=n)
-
-
-def length_normalize(p: Preprocessor, v) -> np.ndarray:
-    """Whiten, center, and scale to unit Euclidean norm."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != p.mean.shape:
-        raise PreprocessError(f"vector has shape {v.shape}, expected {p.mean.shape}")
-    w = p.whitener @ (v - p.mean)
-    norm = np.linalg.norm(w)
-    if norm < 1e-12:
-        raise PreprocessError("degenerate vector: zero norm after centering")
-    return w / norm
 
 
 def cosine_score(a, b) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data_model import Dataset, UtteranceRecord
+from .data_model import Dataset, UtteranceRecord, group_by_speaker
 from .plda import PldaModel
 
 
@@ -130,12 +130,7 @@ def split_eval(data: Dataset, n_enroll_per_spk: int, n_test_per_spk: int,
     excluded and counted."""
     if n_enroll_per_spk < 1 or n_test_per_spk < 1:
         raise SynthError("per-speaker counts must be >= 1")
-    by_spk: dict[str, list[UtteranceRecord]] = {}
-    for r in data.records:
-        if r.global_spk is None:
-            raise SynthError(f"record {r.utt_id} has no global speaker label")
-        by_spk.setdefault(r.global_spk, []).append(r)
-
+    by_spk = group_by_speaker(data)
     rng = np.random.default_rng(seed)
     enroll: dict[str, tuple[UtteranceRecord, ...]] = {}
     test_records: list[UtteranceRecord] = []

@@ -1,10 +1,11 @@
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
 from plda_local import cli
-from plda_local.data_model import read_dataset, write_dataset
+from plda_local.data_model import Dataset, read_dataset, write_dataset
 from plda_local.eval_harness import compute_eer, read_key, read_scores, write_key
 from plda_local.eval_harness import TrialSet, generate_trials
 from plda_local.plda import load_model
@@ -151,6 +152,68 @@ class TestScore:
                    "--test", test_path, "--scores", scores_path) == 0
         rows = read_scores(scores_path)
         assert len(rows) == 25 * 75
+
+    @pytest.mark.parametrize("side", ["enroll", "test"])
+    def test_header_only_corpus_gives_header_only_scores(self, scored_setup, tmp_path,
+                                                         side):
+        model_path, enroll_path, test_path = scored_setup
+        empty = tmp_path / "empty.csv"
+        empty.write_text("#dim=4\n")
+        enroll, test = (empty, test_path) if side == "enroll" else (enroll_path, empty)
+        scores_path = tmp_path / "scores.csv"
+        assert run("score", "--model", model_path, "--enroll", enroll, "--test", test,
+                   "--scores", scores_path) == 0
+        assert scores_path.read_text() == "model_id,test_utt_id,score\n"
+
+    def test_unlabeled_test_records_are_scored(self, scored_setup, tmp_path):
+        model_path, enroll_path, test_path = scored_setup
+        test = read_dataset(test_path)
+        unlabeled_path = tmp_path / "unlabeled.csv"
+        write_dataset(Dataset(test.dim, tuple(dataclasses.replace(r, global_spk=None)
+                                              for r in test.records)), unlabeled_path)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        for path, out in ((test_path, a), (unlabeled_path, b)):
+            assert run("score", "--model", model_path, "--enroll", enroll_path,
+                       "--test", path, "--scores", out) == 0
+        assert sha(a) == sha(b)
+
+    def test_unlabeled_enrollment_record_is_rejected(self, scored_setup, tmp_path):
+        model_path, enroll_path, test_path = scored_setup
+        enroll = read_dataset(enroll_path)
+        records = list(enroll.records)
+        records[3] = dataclasses.replace(records[3], global_spk=None)
+        write_dataset(Dataset(enroll.dim, tuple(records)), enroll_path)
+        scores_path = tmp_path / "scores.csv"
+        assert run("score", "--model", model_path, "--enroll", enroll_path,
+                   "--test", test_path, "--scores", scores_path) == 2
+        assert not scores_path.exists()
+
+
+class TestDimensionMismatch:
+    @pytest.mark.parametrize("side", ["enroll", "test"])
+    @pytest.mark.parametrize("command", ["score", "eval", "sweep"])
+    def test_exits_2_without_output(self, scored_setup, corpus_file, tmp_path,
+                                    command, side):
+        # a dim-5 corpus against a dim-4 model (score, eval) or training set (sweep)
+        model_path, enroll_path, test_path = scored_setup
+        wide, local = tmp_path / "wide.csv", tmp_path / "local.csv"
+        assert run("synth", "--dim", 5, "--latent", 2, "--conversations", 6,
+                   "--utts", 4, "--seed", 3, "--out", wide) == 0
+        assert run("synth", "--dim", 4, "--latent", 2, "--conversations", 30,
+                   "--slots", 2, "--utts", 2, "--seed", 11, "--out", local) == 0
+        key = tmp_path / "key.csv"
+        key.write_text("model_id,test_utt_id,key\n")
+        out = tmp_path / "out.csv"
+        args = {
+            "score": ["--model", model_path, "--scores", out],
+            "eval": ["--model", model_path, "--key", key, "--report", out],
+            "sweep": ["--data", f"{corpus_file},{local}", "--grid-global", 20,
+                      "--grid-local", 20, "--q", 2, "--iters", 2, "--seed", 1,
+                      "--report", out],
+        }[command]
+        enroll, test = (wide, test_path) if side == "enroll" else (enroll_path, wide)
+        assert run(command, "--enroll", enroll, "--test", test, *args) == 2
+        assert not out.exists()
 
 
 class TestEval:

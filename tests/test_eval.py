@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plda_local import eval_harness
-from plda_local.data_model import Dataset, UtteranceRecord
+from plda_local.data_model import Dataset, UtteranceRecord, merge_datasets
 from plda_local.eval_harness import (
     EvalError,
     EvalReport,
@@ -22,6 +22,7 @@ from plda_local.eval_harness import (
     write_report,
     write_scores,
 )
+from plda_local.preprocess import cosine_score, fit
 from plda_local.synth import split_eval
 from _helpers import corpus, eer_oracle, scaled_truth
 
@@ -198,6 +199,22 @@ class TestRunStrategy:
         rep = run_strategy("cosine", g, l, split.enroll, split.test, cfg)
         assert 0.0 <= rep.eer <= 1.0
         assert rep.n_target + rep.n_nontarget == 40 * 3 * 40
+
+    def test_cosine_scores_the_mean_enrollment_direction(self, tmp_path):
+        g, l, _ = _strategy_fixture(5)
+        e = corpus(3005, 8, 2, nconv=15, slots=1, utts=4, truth=scaled_truth(5, 8, 2))
+        split = split_eval(e, 3, 1, 5)
+        path = tmp_path / "scores.csv"
+        cfg = StrategyConfig(latent_dim=2, iterations=5, seed=5)
+        run_strategy("cosine", g, l, split.enroll, split.test, cfg, scores_path=path)
+        pp = fit(merge_datasets(g, l).vectors())
+        tests = {r.utt_id: pp.apply(r.vector) for r in split.test.records}
+        rows = read_scores(path)
+        assert len(rows) == 15 * 15
+        for m, t, s in rows:
+            mean = pp.apply(np.stack([r.vector for r in split.enroll[m]])).mean(axis=0)
+            want = cosine_score(mean / np.linalg.norm(mean), tests[t])
+            assert s == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_all_strategies_beat_chance(self):
         g, l, split = _strategy_fixture(1)

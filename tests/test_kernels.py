@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plda_local import _kernels
 from plda_local.data_model import Dataset, UtteranceRecord
@@ -72,6 +74,18 @@ class TestScoreTrialset:
     def test_q0_model(self):
         rng, model, enroll, tests = _material(2, q=0)
         _assert_matches_oracle(model, enroll, tests, _sparse_keyed(rng, enroll, tests))
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.integers(1, 5), st.sampled_from(["0", "1", "d"]),
+           st.lists(st.integers(1, 40), min_size=1, max_size=4),
+           st.integers(0, 2**32 - 1))
+    def test_matches_oracle_for_any_rank_and_count(self, d, rank, counts, seed):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, d, {"0": 0, "1": 1, "d": d}[rank])
+        enroll = {f"m{i}": rng.normal(size=(n, d)) for i, n in enumerate(counts)}
+        tests = {f"t{j}": rng.normal(size=d) for j in range(3)}
+        _assert_matches_oracle(model, enroll, tests,
+                               _sparse_keyed(rng, enroll, tests, share=1.0))
 
     def test_no_trials(self):
         _, model, enroll, tests = _material(3)

@@ -306,6 +306,14 @@ class TestModelFile:
         with pytest.raises(ModelFormatError, match="truncated"):
             load_model(tmp_path / "cut.plda")
 
+    @pytest.mark.parametrize("header", ["#plda dim=-4 q=2", "#plda dim=4 q=-1",
+                                        "#plda dim=0 q=0"])
+    def test_bad_header_dimensions_rejected(self, tmp_path, header):
+        path = tmp_path / "bad.plda"
+        path.write_text(f"{header}\nu:\n")
+        with pytest.raises(ModelFormatError, match="header needs"):
+            load_model(path)
+
     def test_negative_sigma_eigenvalue_rejected(self, tmp_path):
         path = tmp_path / "bad.plda"
         path.write_text(

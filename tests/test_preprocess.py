@@ -8,7 +8,6 @@ from plda_local.preprocess import (
     Preprocessor,
     cosine_score,
     fit,
-    length_normalize,
 )
 
 
@@ -60,18 +59,18 @@ class TestLengthNormalize:
     def test_three_four_five(self):
         pp = Preprocessor.identity(2)
         np.testing.assert_allclose(
-            length_normalize(pp, np.array([3.0, 4.0])), [0.6, 0.8]
+            pp.apply(np.array([3.0, 4.0])), [0.6, 0.8]
         )
 
     def test_mean_vector_is_degenerate(self):
         pp = Preprocessor(mean=np.array([1.0, 2.0]), whitener=np.eye(2), fitted_on=2)
         with pytest.raises(PreprocessError):
-            length_normalize(pp, np.array([1.0, 2.0]))
+            pp.apply(np.array([1.0, 2.0]))
 
     def test_idempotent_direction(self):
         pp = Preprocessor.identity(3)
-        v = length_normalize(pp, np.array([1.0, -2.0, 0.5]))
-        np.testing.assert_allclose(length_normalize(pp, v), v, atol=1e-12)
+        v = pp.apply(np.array([1.0, -2.0, 0.5]))
+        np.testing.assert_allclose(pp.apply(v), v, atol=1e-12)
 
     @settings(deadline=None, max_examples=50)
     @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=16))
@@ -80,7 +79,13 @@ class TestLengthNormalize:
         pp = Preprocessor.identity(len(comps))
         if np.linalg.norm(v) < 1e-12:
             return
-        assert abs(np.linalg.norm(length_normalize(pp, v)) - 1.0) < 1e-12
+        assert abs(np.linalg.norm(pp.apply(v)) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("shape", [(5,), (3, 5), (0, 5), (2, 3, 4), ()])
+    def test_wrong_dimension_rejected(self, shape):
+        pp = Preprocessor.identity(4)
+        with pytest.raises(PreprocessError, match="expected dimension 4"):
+            pp.apply(np.ones(shape))
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(5)
@@ -88,7 +93,7 @@ class TestLengthNormalize:
         X = rng.normal(size=(10, 4))
         batch = pp.apply(X)
         for i in range(10):
-            np.testing.assert_allclose(batch[i], length_normalize(pp, X[i]), atol=1e-12)
+            np.testing.assert_allclose(batch[i], pp.apply(X[i]), atol=1e-12)
 
 
 class TestCosine:
