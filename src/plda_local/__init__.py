@@ -26,13 +26,11 @@ from .eval_harness import (
 )
 from .plda import (
     PldaModel,
-    SpeakerPosterior,
     TrainConfig,
     load_model,
     marginal_loglik,
     save_model,
     score_llr,
-    speaker_posterior,
     train_em,
 )
 from .preprocess import Preprocessor, cosine_score, fit

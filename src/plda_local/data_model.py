@@ -150,13 +150,6 @@ class LabelView:
     def n_classes(self) -> int:
         return len(self.classes)
 
-    def member_count(self) -> int:
-        return sum(len(m) for m in self.classes.values())
-
-    def partition(self) -> set[frozenset]:
-        """The class memberships as an id-free set partition."""
-        return {frozenset(m) for m in self.classes.values()}
-
 
 def group_by_speaker(data: Dataset) -> dict[str, list[UtteranceRecord]]:
     """Records per global speaker id: speakers in order of first appearance,

@@ -173,16 +173,12 @@ class StrategyConfig:
     iterations: int
     seed: int
     whiten: bool = True
-    min_class_size: int = 1
-    loglik_tol: float = 1e-7
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(
             latent_dim=self.latent_dim,
             iterations=self.iterations,
             seed=self.seed,
-            min_class_size=self.min_class_size,
-            loglik_tol=self.loglik_tol,
         )
 
 
@@ -304,6 +300,12 @@ def run_sweep(spec: SweepSpec, global_data, local_data, eval_enroll, eval_test,
     trains, and scores the one fixed TrialSet. g=0 is pure local training,
     l=0 pure global; (0, 0) is rejected. A cell that cannot train raises.
     """
+    # checked before the first cell trains, not when it is scored
+    dims = {data.dim for data in (global_data, local_data, eval_test) if data is not None}
+    dims.update(r.vector.shape[0] for recs in eval_enroll.values() for r in recs)
+    if len(dims) > 1:
+        raise EvalError(f"training and evaluation vectors differ in dimension: "
+                        f"{sorted(dims)}")
     g_view = build_global_view(global_data) if global_data is not None else None
     l_view = build_local_view(local_data) if local_data is not None else None
     g_classes = sorted(g_view.classes) if g_view else []
@@ -384,20 +386,6 @@ def write_scores(trials: TrialSet, scores, path) -> None:
         _write_chunked(fh, len(trials), lambda a, b: (
             f"{mids[m]}{tids[t]}{v!r}\n"
             for m, t, v in zip(mi[a:b].tolist(), ti[a:b].tolist(), scores[a:b].tolist())))
-
-
-def read_scores(path):
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.startswith("model_id,"):
-            raise EvalError(f"{path}: missing scores header")
-        for line in fh:
-            if not line.strip():
-                continue
-            mid, tid, s = line.rstrip("\n").split(",")
-            out.append((mid, tid, float(s)))
-    return out
 
 
 def write_key(trials: TrialSet, path) -> None:

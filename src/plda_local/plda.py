@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from . import _kernels
 from .data_model import Dataset, LabelView, _replacing, format_float
@@ -37,7 +36,6 @@ class TrainConfig:
     latent_dim: int
     iterations: int
     seed: int
-    min_class_size: int = 1
     loglik_tol: float = 1e-7
 
     def __post_init__(self):
@@ -45,8 +43,6 @@ class TrainConfig:
             raise PldaError("iterations must be >= 1")
         if self.latent_dim < 0:
             raise PldaError("latent_dim must be >= 0")
-        if self.min_class_size < 1:
-            raise PldaError("min_class_size must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -73,18 +69,10 @@ class PldaModel:
         if rel > 1e-10:
             raise PldaError(f"Sigma asymmetric (relative {rel:.2e})")
         S = 0.5 * (S + S.T)
-        if np.linalg.eigvalsh(S)[0] <= 0:
-            raise PldaError("Sigma is not positive definite")
+        logdet_sigma, G, F = _sigma_terms(S, V)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "V", V)
         object.__setattr__(self, "Sigma", S)
-
-        chol = cho_factor(S, lower=True)
-        logdet_sigma = 2.0 * float(np.sum(np.log(np.diag(chol[0]))))
-        G = cho_solve(chol, V).T  # (q, d): G x = V' Sigma^-1 x
-        F = G @ V
-        F = 0.5 * (F + F.T)
-        object.__setattr__(self, "_chol", chol)
         object.__setattr__(self, "_logdet_sigma", logdet_sigma)
         object.__setattr__(self, "_G", G)
         object.__setattr__(self, "_F", F)
@@ -102,11 +90,6 @@ class PldaModel:
     def B(self) -> np.ndarray:
         """Across-class covariance V V'."""
         return self.V @ self.V.T
-
-    @property
-    def T(self) -> np.ndarray:
-        """Total covariance B + Sigma."""
-        return self.B + self.Sigma
 
     def count_terms(self, n: int):
         """(P_n^-1, logdet P_n) for the posterior precision P_n = I + n F."""
@@ -127,30 +110,25 @@ class PldaModel:
         return centered @ self._G.T
 
 
-@dataclass(frozen=True)
-class SpeakerPosterior:
-    """Posterior of the latent speaker factor given enrollment vectors."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-    count: int
-
-
-def speaker_posterior(model: PldaModel, vectors) -> SpeakerPosterior:
-    X = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
-    n = X.shape[0]
-    if n < 1:
-        raise PldaError("posterior needs at least one vector")
-    a = model.project(np.sum(X - model.u, axis=0))
-    Q, _ = model.count_terms(n)
-    return SpeakerPosterior(mean=Q @ a, cov=0.5 * (Q + Q.T), count=n)
+def _sigma_terms(Sigma: np.ndarray, V: np.ndarray):
+    """(logdet Sigma, G = V' Sigma^-1, F = G V) for a symmetric Sigma; the
+    Cholesky factor that gives the log-determinant also checks that Sigma
+    is positive definite."""
+    try:
+        L = np.linalg.cholesky(Sigma)
+    except np.linalg.LinAlgError:
+        raise PldaError("Sigma is not positive definite") from None
+    logdet_sigma = 2.0 * float(np.sum(np.log(np.diag(L))))
+    G = np.linalg.solve(Sigma, V).T  # (q, d): G x = V' Sigma^-1 x
+    F = G @ V
+    return logdet_sigma, G, 0.5 * (F + F.T)
 
 
 def _class_loglik(model: PldaModel, X: np.ndarray) -> float:
     """Marginal log-density of one class of vectors (joint over the speaker)."""
     n, d = X.shape
     centered = X - model.u
-    white = cho_solve(model._chol, centered.T)  # Sigma^-1 (w - u)
+    white = np.linalg.solve(model.Sigma, centered.T)  # Sigma^-1 (w - u)
     maha = float(np.sum(centered.T * white))
     a = model.project(np.sum(centered, axis=0))
     Q, logdet_p = model.count_terms(n)
@@ -253,21 +231,18 @@ def score_trialset(model: PldaModel, enroll_models: dict, trials,
                                  trials.model_idx, trials.test_idx)
 
 
-def _collect_classes(data: Dataset, view: LabelView, pp: Preprocessor | None,
-                     min_class_size: int):
+def _collect_classes(data: Dataset, view: LabelView, pp: Preprocessor | None):
+    if view.n_classes < 2:
+        raise PldaError(f"need at least 2 classes, have {view.n_classes}")
     by_utt = data.by_utt()
     rows = []
     counts = []
-    for cid, members in view.classes.items():
-        if len(members) < min_class_size:
-            continue
+    for members in view.classes.values():
         for utt in members:
             if utt not in by_utt:
                 raise PldaError(f"label view references unknown utt_id {utt!r}")
             rows.append(by_utt[utt].vector)
         counts.append(len(members))
-    if not rows:
-        raise PldaError("no training vectors after class-size filtering")
     X = np.stack(rows)
     if pp is not None:
         X = pp.apply(X)
@@ -283,12 +258,9 @@ def train_em(data: Dataset, view: LabelView, pp: Preprocessor | None,
     log-likelihood sequence is non-decreasing up to the Sigma eigenvalue floor.
     Pass pp=None to train on raw vectors.
     """
-    X, counts = _collect_classes(data, view, pp, cfg.min_class_size)
+    X, counts = _collect_classes(data, view, pp)
     N, d = X.shape
-    K = len(counts)
     q = cfg.latent_dim
-    if K < 2:
-        raise PldaError(f"need at least 2 classes, have {K}")
     if q > d:
         raise PldaError(f"latent_dim {q} exceeds data dimension {d}")
 
@@ -305,16 +277,11 @@ def train_em(data: Dataset, view: LabelView, pp: Preprocessor | None,
 
     logliks: list[float] = []
     for it in range(cfg.iterations):
-        chol = cho_factor(Sigma, lower=True)
-        logdet_sigma = 2.0 * float(np.sum(np.log(np.diag(chol[0]))))
-        G = cho_solve(chol, V).T
-        F = G @ V
-        F = 0.5 * (F + F.T)
-
+        logdet_sigma, G, F = _sigma_terms(Sigma, V)
         A = sums @ G.T
         M, R2, ll_lat = _kernels.estep_stats(A, counts, F)
 
-        trace_term = float(np.trace(cho_solve(chol, S_total)))
+        trace_term = float(np.trace(np.linalg.solve(Sigma, S_total)))
         ll = -0.5 * N * d * LOG_2PI - 0.5 * N * logdet_sigma - 0.5 * trace_term + ll_lat
         if not math.isfinite(ll):
             raise PldaError(f"non-finite log-likelihood at iteration {it}")
@@ -433,7 +400,6 @@ def load_model(path):
         pp = Preprocessor(
             mean=arrays["pp.mean:"][0],
             whitener=arrays["pp.whitener:"],
-            fitted_on=0,
         )
     except Exception as e:
         raise ModelFormatError(f"{path}: {e}") from None

@@ -26,7 +26,6 @@ class Preprocessor:
 
     mean: np.ndarray
     whitener: np.ndarray
-    fitted_on: int
 
     def __post_init__(self):
         m = np.asarray(self.mean, dtype=np.float64)
@@ -45,7 +44,7 @@ class Preprocessor:
 
     @classmethod
     def identity(cls, dim: int) -> "Preprocessor":
-        return cls(mean=np.zeros(dim), whitener=np.eye(dim), fitted_on=0)
+        return cls(mean=np.zeros(dim), whitener=np.eye(dim))
 
     def apply(self, vectors: np.ndarray) -> np.ndarray:
         """Center, whiten and length-normalize one vector or a batch of row
@@ -72,10 +71,10 @@ def fit(vectors, whiten: bool = True) -> Preprocessor:
     X = np.asarray(vectors, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
         raise PreprocessError("need at least 2 vectors to fit a preprocessor")
-    n, d = X.shape
+    d = X.shape[1]
     mean = X.mean(axis=0)
     if not whiten:
-        return Preprocessor(mean=mean, whitener=np.eye(d), fitted_on=n)
+        return Preprocessor(mean=mean, whitener=np.eye(d))
     cov = np.cov(X, rowvar=False, ddof=1).reshape(d, d)
     eps = 1e-6 * np.trace(cov) / d
     if eps <= 0:
@@ -85,7 +84,7 @@ def fit(vectors, whiten: bool = True) -> Preprocessor:
         raise PreprocessError("covariance not positive definite after ridge")
     W = (evecs / np.sqrt(evals)) @ evecs.T
     W = 0.5 * (W + W.T)
-    return Preprocessor(mean=mean, whitener=W, fitted_on=n)
+    return Preprocessor(mean=mean, whitener=W)
 
 
 def cosine_score(a, b) -> float:

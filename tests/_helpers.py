@@ -39,6 +39,24 @@ def scaled_truth(seed, dim, q, vscale=1.0):
     return PldaModel(u=t.u, V=t.V * vscale, Sigma=t.Sigma)
 
 
+def read_scores(path):
+    """(model_id, test_utt_id, score) rows of a scores file, in file order."""
+    with open(path, "r", encoding="utf-8") as fh:
+        assert fh.readline() == "model_id,test_utt_id,score\n"
+        rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
+    return [(mid, tid, float(s)) for mid, tid, s in rows]
+
+
+def member_count(view):
+    """Utterances a label view assigns to some class."""
+    return sum(len(m) for m in view.classes.values())
+
+
+def partition(view):
+    """A label view's class memberships as an id-free set partition."""
+    return {frozenset(m) for m in view.classes.values()}
+
+
 def dense_class_loglik(model, X):
     """Marginal log-density of one class via the explicit stacked Gaussian."""
     X = np.atleast_2d(np.asarray(X, dtype=float))

@@ -1,14 +1,18 @@
 import dataclasses
 import hashlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from plda_local import cli
+from plda_local import cli, eval_harness
 from plda_local.data_model import Dataset, read_dataset, write_dataset
-from plda_local.eval_harness import compute_eer, read_key, read_scores, write_key
+from plda_local.eval_harness import compute_eer, read_key, write_key
 from plda_local.eval_harness import TrialSet, generate_trials
 from plda_local.plda import load_model
+from _helpers import read_scores
 
 
 def run(*args):
@@ -65,6 +69,23 @@ class TestTrain:
                    "--model", model_path) == 0
         model, pp = load_model(model_path)
         assert model.V.shape == (4, 2)
+
+    def test_imports_no_scipy(self, corpus_file, tmp_path):
+        # numpy is the only run-time dependency; the test suite itself loads
+        # scipy, so the command runs in a fresh interpreter
+        code = ("import sys\n"
+                "from plda_local import cli\n"
+                "assert cli.main(sys.argv[1:]) == 0\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", code, "train", "--data", str(corpus_file),
+             "--labels", "global", "--q", "2", "--iters", "3", "--seed", "0",
+             "--model", str(tmp_path / "m.plda")],
+            env={**os.environ, "PYTHONPATH": src}, stdin=subprocess.DEVNULL,
+            capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "[]\n"
 
     def test_pooled_two_files(self, corpus_file, tmp_path):
         other = tmp_path / "other.csv"
@@ -321,6 +342,31 @@ class TestSweep:
         lines = report.read_text().splitlines()
         assert lines[0] == "n_global,n_local,seed,eer"
         assert len(lines) == 1 + 2 * 1 * 2
+
+    @pytest.mark.parametrize("side", ["enroll", "test"])
+    def test_dimension_mismatch_fails_before_training(self, scored_setup, corpus_file,
+                                                      tmp_path, monkeypatch, side):
+        calls = []
+        train_em = eval_harness.train_em
+
+        def counting(*args):
+            calls.append(1)
+            return train_em(*args)
+
+        monkeypatch.setattr(eval_harness, "train_em", counting)
+        _, enroll_path, test_path = scored_setup
+        wide, local = tmp_path / "wide.csv", tmp_path / "local.csv"
+        assert run("synth", "--dim", 5, "--latent", 2, "--conversations", 6,
+                   "--utts", 4, "--seed", 3, "--out", wide) == 0
+        assert run("synth", "--dim", 4, "--latent", 2, "--conversations", 30,
+                   "--slots", 2, "--utts", 2, "--seed", 11, "--out", local) == 0
+        enroll, test = (wide, test_path) if side == "enroll" else (enroll_path, wide)
+        report = tmp_path / "grid.csv"
+        assert run("sweep", "--data", f"{corpus_file},{local}", "--enroll", enroll,
+                   "--test", test, "--grid-global", "0,20", "--grid-local", 20,
+                   "--q", 2, "--iters", 2, "--seed", 1, "--report", report) == 2
+        assert not report.exists()
+        assert calls == []
 
     def test_single_data_path_is_usage_error(self, scored_setup, tmp_path,
                                              corpus_file):

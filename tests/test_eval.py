@@ -15,7 +15,6 @@ from plda_local.eval_harness import (
     det_curve,
     generate_trials,
     read_key,
-    read_scores,
     run_strategy,
     run_sweep,
     write_key,
@@ -24,7 +23,7 @@ from plda_local.eval_harness import (
 )
 from plda_local.preprocess import cosine_score, fit
 from plda_local.synth import split_eval
-from _helpers import corpus, eer_oracle, scaled_truth
+from _helpers import corpus, eer_oracle, read_scores, scaled_truth
 
 
 def tiny_test_set(n=4, dim=3, n_spk=2):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import multivariate_normal, ortho_group
 
+from plda_local import plda
 from plda_local.data_model import build_global_view
 from plda_local.plda import (
     ModelFormatError,
@@ -13,7 +14,6 @@ from plda_local.plda import (
     save_model,
     score_llr,
     score_trialset,
-    speaker_posterior,
     train_em,
 )
 from plda_local.preprocess import Preprocessor
@@ -39,7 +39,11 @@ class TestModelValidation:
     def test_derived_matrices_consistent(self):
         rng = np.random.default_rng(0)
         m = random_model(rng, 4, 2)
-        assert np.linalg.norm(m.T - m.B - m.Sigma) < 1e-10 * np.linalg.norm(m.T)
+        np.testing.assert_allclose(m.B, m.V @ m.V.T, rtol=1e-12)
+        S_inv = np.linalg.inv(m.Sigma)
+        assert m._logdet_sigma == pytest.approx(np.linalg.slogdet(m.Sigma)[1], abs=1e-12)
+        np.testing.assert_allclose(m._G, m.V.T @ S_inv, atol=1e-12)
+        np.testing.assert_allclose(m._F, m.V.T @ S_inv @ m.V, atol=1e-12)
 
 
 class TestMarginalLoglik:
@@ -143,24 +147,6 @@ class TestScoreLlr:
             assert np.mean(diffs) > 0
 
 
-class TestSpeakerPosterior:
-    def test_cov_shrinks_with_count(self):
-        rng = np.random.default_rng(11)
-        m = random_model(rng, 4, 2)
-        X = rng.normal(size=(5, 4))
-        small = speaker_posterior(m, X[:2]).cov
-        large = speaker_posterior(m, X).cov
-        # large-count posterior covariance is dominated by the small-count one
-        assert np.linalg.eigvalsh(small - large)[0] > -1e-12
-
-    def test_spd(self):
-        rng = np.random.default_rng(12)
-        m = random_model(rng, 4, 2)
-        post = speaker_posterior(m, rng.normal(size=(3, 4)))
-        assert np.linalg.eigvalsh(post.cov)[0] > 0
-        assert post.count == 3
-
-
 class TestTrainEm:
     def test_q0_sigma_is_sample_covariance(self):
         data = corpus(seed=1, dim=4, q=2, nconv=30, slots=1, utts=3)
@@ -221,6 +207,41 @@ class TestTrainEm:
             TrainConfig(latent_dim=1, iterations=500, seed=0, loglik_tol=1e-5),
         )
         assert len(lls) < 500
+
+    def test_rank_deficient_scatter_clamps_every_iteration(self, monkeypatch):
+        # 8 vectors of dimension 12 in 4 classes: the sample covariance and
+        # every M-step Sigma have rank below d, so the floor must clamp each one
+        clamped = []
+        floor = plda._floor_spd
+
+        def counting(S, d):
+            out = floor(S, d)
+            clamped.append(out is not S)
+            return out
+
+        monkeypatch.setattr(plda, "_floor_spd", counting)
+        data = corpus(seed=7, dim=12, q=2, nconv=4, slots=1, utts=2)
+        model, lls = train_em(
+            data, build_global_view(data), None,
+            TrainConfig(latent_dim=2, iterations=10, seed=0, loglik_tol=0.0),
+        )
+        assert clamped == [True] * 11  # the initial Sigma and 10 M-steps
+        assert np.all(np.isfinite(lls))
+        assert np.all(np.linalg.eigvalsh(model.Sigma) > 0)
+
+    @pytest.mark.parametrize("dim,q,utts", [(5, 2, 1), (4, 4, 3)],
+                             ids=["singleton_classes", "q_equals_d"])
+    def test_edge_shapes_stay_finite_and_monotone(self, dim, q, utts):
+        for seed in range(3):
+            data = corpus(seed=seed, dim=dim, q=2, nconv=40, slots=1, utts=utts)
+            model, lls = train_em(
+                data, build_global_view(data), None,
+                TrainConfig(latent_dim=q, iterations=30, seed=seed, loglik_tol=0.0),
+            )
+            assert len(lls) == 30 and np.all(np.isfinite(lls))
+            assert np.all(np.isfinite(model.V)) and model.latent_dim == q
+            for a, b in zip(lls, lls[1:]):
+                assert b >= a - 1e-8 * abs(a)
 
     def test_preprocessed_training(self):
         from plda_local.preprocess import fit
@@ -283,8 +304,7 @@ class TestModelFile:
     def test_round_trip_scores(self, tmp_path):
         rng = np.random.default_rng(20)
         m = random_model(rng, 6, 3)
-        pp = Preprocessor(mean=rng.normal(size=6),
-                          whitener=np.eye(6) * 1.5, fitted_on=100)
+        pp = Preprocessor(mean=rng.normal(size=6), whitener=np.eye(6) * 1.5)
         path = tmp_path / "m.plda"
         save_model(m, pp, path)
         m2, pp2 = load_model(path)

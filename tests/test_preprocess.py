@@ -63,7 +63,7 @@ class TestLengthNormalize:
         )
 
     def test_mean_vector_is_degenerate(self):
-        pp = Preprocessor(mean=np.array([1.0, 2.0]), whitener=np.eye(2), fitted_on=2)
+        pp = Preprocessor(mean=np.array([1.0, 2.0]), whitener=np.eye(2))
         with pytest.raises(PreprocessError):
             pp.apply(np.array([1.0, 2.0]))
 

@@ -9,6 +9,7 @@ from plda_local.synth import (
     sample_truth,
     split_eval,
 )
+from _helpers import partition
 
 
 def cfg(**kw):
@@ -82,7 +83,7 @@ class TestSampleConversations:
         data = sample_conversations(
             cfg(seed=6, n_conversations=40, slots_per_conversation=2, utts_per_slot=3)
         )
-        assert build_local_view(data).partition() == build_global_view(data).partition()
+        assert partition(build_local_view(data)) == partition(build_global_view(data))
 
     def test_empirical_covariances_converge(self):
         c = cfg(seed=8, dim=6, latent_dim=2, n_conversations=2500,
