@@ -1,14 +1,16 @@
-"""Byte-for-byte pins of the score, key and report files.
+"""Byte-for-byte pins of the score, key, report and corpus files.
 
 The expected text and sha256 digests were taken from files that the original
 row-at-a-time writers produced from the same seeded inputs, so any change to
 the bytes these writers emit fails here. The large case has more trials than
-one write chunk, in a shuffled (not model-major) order.
+one write chunk, in a shuffled (not model-major) order; the corpus case spans
+several chunks of 2^16 formatted values.
 """
 import hashlib
 
 import numpy as np
 
+from plda_local.data_model import Dataset, UtteranceRecord, write_dataset
 from plda_local.eval_harness import (
     EvalReport,
     SweepGrid,
@@ -28,6 +30,7 @@ SPECIAL = [0.1, -0.0, 1e-05, 1e16, 5e-324, -1.2345678901234568e17, 3.0,
 SCORES_SHA = "d68ff66e021f8773629f23c0a8e3f77d453126950fe26142c8090230e0cd11fb"
 KEY_SHA = "983decefa2aad776424a494e213b049282894cc3e0e8a56fea2934ee10d96d58"
 REPORT_SHA = "124720586afafbfaaa8811960ddc0b2e277234877125827c8afcf6665a759a65"
+CORPUS_SHA = "7aa26ccbbba69dfc1c618fb9326be8e27f0a55f28adac603a77f257f52c7eb4e"
 
 
 def small_trials():
@@ -48,6 +51,22 @@ def large_case():
     scores[:len(SPECIAL)] = SPECIAL
     trials = TrialSet(model_ids, test_ids, codes // T, codes % T, target)
     return trials, scores
+
+
+def corpus_case():
+    """14,000 x 16 corpus (about 3.4 chunks of values), every seventh record
+    unlabeled, components spanning magnitudes and SPECIAL in the first and
+    last records."""
+    rng = np.random.default_rng(20161001)
+    n, dim = 14000, 16
+    vecs = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-8, 18, (n, dim))
+    vecs[0, :len(SPECIAL)] = SPECIAL
+    vecs[-1, -len(SPECIAL):] = SPECIAL
+    spk = rng.integers(0, 900, n)
+    return Dataset(dim, tuple(
+        UtteranceRecord(f"utt{i:05d}", f"conv{i // 2:04d}", i % 2,
+                        None if i % 7 == 0 else f"spk{spk[i]:03d}", vecs[i])
+        for i in range(n)))
 
 
 def eval_report(trials, scores):
@@ -123,3 +142,10 @@ class TestLargeFiles:
             b"20,200,0,0.2857142857142857\n20,200,1,0.2\n20,2000,0,1e-05\n20,2000,1,0.5\n"
         )
 
+
+
+class TestCorpusFile:
+    def test_corpus(self, tmp_path):
+        path = tmp_path / "c.csv"
+        write_dataset(corpus_case(), path)
+        assert sha(path) == CORPUS_SHA
