@@ -28,12 +28,11 @@ from .plda import (
     PldaModel,
     TrainConfig,
     load_model,
-    marginal_loglik,
     save_model,
     score_llr,
     train_em,
 )
-from .preprocess import Preprocessor, cosine_score, fit
+from .preprocess import Preprocessor, fit
 from .synth import EvalSplit, SynthConfig, sample_conversations, sample_truth, split_eval
 
 __version__ = "0.1.0"

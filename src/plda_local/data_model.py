@@ -8,7 +8,9 @@ identity. Pooled views take the disjoint union of one view of each kind.
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
+import shutil
+import signal
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -212,13 +214,95 @@ def _replacing(path):
         raise
 
 
+_CHUNK = 1 << 16  # values formatted per write
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _write_chunked(fh, n, lines, width=1):
+    """Write rows 0..n-1 of a ``_replacing`` handle in chunks of about
+    _CHUNK values: lines(start, stop) yields the text of rows start..stop-1,
+    a row holds ``width`` values, and each chunk is one "".join and one
+    write, so no per-row Python object outlives its chunk.
+
+    With several chunks and several usable cores, the chunks are split into
+    one contiguous run per core. A forked worker formats each run after the
+    first into a part file beside ``fh``'s file while this process formats
+    the first run, then the parts are appended in order, so the bytes equal
+    a one-process write. A worker only runs ``lines``, which must do nothing
+    but Python formatting and numpy slicing or ``tolist``: never BLAS, whose
+    thread pool does not survive ``fork``. A run whose worker failed, or
+    could not be forked, is formatted here; formatting is deterministic, so
+    a bad row raises what a one-process write raises. No worker and no part
+    file outlives the call.
+    """
+    step = max(1, _CHUNK // width)
+    starts = range(0, n, step)
+    k = min(_usable_cores(), len(starts)) if hasattr(os, "fork") else 1
+
+    def format_run(out, run):
+        for a in run:
+            out.write("".join(lines(a, min(a + step, n))))
+
+    if k <= 1:
+        format_run(fh, starts)
+        return
+    runs = [starts[i * len(starts) // k:(i + 1) * len(starts) // k] for i in range(k)]
+    parts = [f"{fh.name}.{i}.part" for i in range(1, k)]
+    pids = {}  # part -> pid of its worker, until reaped
+    try:
+        for part, run in zip(parts, runs[1:]):
+            try:
+                pid = os.fork()
+            except OSError:
+                continue
+            if pid == 0:
+                code = 1
+                try:
+                    with open(part, "x", encoding="utf-8", newline="\n") as out:
+                        format_run(out, run)
+                    code = 0
+                finally:
+                    os._exit(code)
+            pids[part] = pid
+        format_run(fh, runs[0])
+        for part, run in zip(parts, runs[1:]):
+            ok = False
+            if part in pids:
+                ok = os.waitstatus_to_exitcode(os.waitpid(pids[part], 0)[1]) == 0
+                del pids[part]
+            if ok:
+                fh.flush()
+                with open(part, "rb") as src:
+                    shutil.copyfileobj(src, fh.buffer)
+            else:
+                format_run(fh, run)
+    finally:
+        for pid in pids.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for part in parts:
+            with suppress(FileNotFoundError):
+                os.remove(part)
+
+
 def write_dataset(data: Dataset, path) -> None:
+    records = data.records
+
+    def lines(a, b):
+        for r in records[a:b]:
+            spk = r.global_spk if r.global_spk is not None else MISSING
+            comps = ",".join(map(format_float, r.vector.tolist()))
+            yield f"{r.utt_id},{r.conv_id},{r.slot},{spk},{comps}\n"
+
     with _replacing(path) as fh:
         fh.write(f"#dim={data.dim}\n")
-        for r in data.records:
-            spk = r.global_spk if r.global_spk is not None else MISSING
-            comps = ",".join(format_float(x) for x in r.vector)
-            fh.write(f"{r.utt_id},{r.conv_id},{r.slot},{spk},{comps}\n")
+        _write_chunked(fh, len(records), lines, width=data.dim)
 
 
 def read_dataset(path) -> Dataset:

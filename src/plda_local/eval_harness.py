@@ -19,6 +19,7 @@ from .data_model import (
     build_local_view,
     build_pooled_view,
     _replacing,
+    _write_chunked,
     format_float,
     merge_datasets,
 )
@@ -314,6 +315,9 @@ def run_sweep(spec: SweepSpec, global_data, local_data, eval_enroll, eval_test,
 
     key_source = {r.utt_id: r.global_spk for r in eval_test.records}
     trials = generate_trials(sorted(eval_enroll), eval_test, key_source)
+    if trials.n_target == 0 or trials.n_nontarget == 0:
+        raise EvalError(f"the trial set has {trials.n_target} target and "
+                        f"{trials.n_nontarget} nontarget trials; both must be non-zero")
 
     cells = {}
     for g in spec.axis_global:
@@ -355,17 +359,6 @@ def _draw_classes(rng, n, data, view, names):
     chosen = [names[i] for i in rng.choice(len(names), size=n, replace=False)]
     sub = LabelView(view.strategy, {c: view.classes[c] for c in chosen})
     return data.subset([u for c in chosen for u in sub.classes[c]]), sub
-
-
-_CHUNK = 1 << 16  # rows formatted per write
-
-
-def _write_chunked(fh, n, lines):
-    """Write rows 0..n-1, _CHUNK rows at a time: lines(start, stop) yields
-    the text of rows start..stop-1, and each chunk is one "".join and one
-    write, so no per-row Python object outlives its chunk."""
-    for a in range(0, n, _CHUNK):
-        fh.write("".join(lines(a, min(a + _CHUNK, n))))
 
 
 def _id_columns(trials: TrialSet):

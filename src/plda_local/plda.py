@@ -124,42 +124,12 @@ def _sigma_terms(Sigma: np.ndarray, V: np.ndarray):
     return logdet_sigma, G, 0.5 * (F + F.T)
 
 
-def _class_loglik(model: PldaModel, X: np.ndarray) -> float:
-    """Marginal log-density of one class of vectors (joint over the speaker)."""
-    n, d = X.shape
-    centered = X - model.u
-    white = np.linalg.solve(model.Sigma, centered.T)  # Sigma^-1 (w - u)
-    maha = float(np.sum(centered.T * white))
-    a = model.project(np.sum(centered, axis=0))
-    Q, logdet_p = model.count_terms(n)
-    return (
-        -0.5 * n * d * LOG_2PI
-        - 0.5 * n * model._logdet_sigma
-        - 0.5 * maha
-        - 0.5 * logdet_p
-        + 0.5 * float(a @ Q @ a)
-    )
-
-
-def marginal_loglik(model: PldaModel, classes) -> float:
-    """Sum of per-class marginal log-densities under the model."""
-    total = 0.0
-    for cls in classes:
-        X = np.atleast_2d(np.asarray(cls, dtype=np.float64))
-        if X.shape[1] != model.dim:
-            raise PldaError(f"class vectors have dimension {X.shape[1]}, model {model.dim}")
-        if not np.all(np.isfinite(X)):
-            raise PldaError("non-finite vector in marginal_loglik")
-        total += _class_loglik(model, X)
-    return total
-
-
 def score_llr(model: PldaModel, enroll, test) -> float:
     """Evidence ratio: same-speaker vs different-speaker log-likelihoods.
 
-    Equals marginal_loglik(enroll + test) - marginal_loglik(enroll)
-    - marginal_loglik(test); the shared Gaussian terms are cancelled
-    analytically so batch and single scoring agree to the last bits.
+    log p(enroll, test | one speaker) - log p(enroll) - log p(test) under
+    the model's marginal densities. The Gaussian terms the three densities
+    share cancel analytically, so only latent-space terms are computed.
     """
     E = np.atleast_2d(np.asarray(enroll, dtype=np.float64))
     t = np.asarray(test, dtype=np.float64)

@@ -85,12 +85,3 @@ def fit(vectors, whiten: bool = True) -> Preprocessor:
     W = (evecs / np.sqrt(evals)) @ evecs.T
     W = 0.5 * (W + W.T)
     return Preprocessor(mean=mean, whitener=W)
-
-
-def cosine_score(a, b) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na < 1e-300 or nb < 1e-300:
-        raise PreprocessError("cosine score of a zero vector")
-    return float(a @ b / (na * nb))

@@ -79,6 +79,16 @@ def dense_llr(model, enroll, test):
     )
 
 
+def cosine_score(a, b) -> float:
+    """Cosine of the angle between two non-zero vectors."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    if na < 1e-300 or nb < 1e-300:
+        raise ValueError("cosine score of a zero vector")
+    return float(a @ b / (na * nb))
+
+
 def eer_oracle(target_scores, nontarget_scores):
     """Exhaustive midpoint-threshold sweep with the same interpolation rule.
 

@@ -368,6 +368,28 @@ class TestSweep:
         assert not report.exists()
         assert calls == []
 
+    def test_header_only_enroll_fails_before_training(self, scored_setup, corpus_file,
+                                                      tmp_path, monkeypatch):
+        calls = []
+        train_em = eval_harness.train_em
+
+        def counting(*args):
+            calls.append(1)
+            return train_em(*args)
+
+        monkeypatch.setattr(eval_harness, "train_em", counting)
+        _, _, test_path = scored_setup
+        enroll, local = tmp_path / "enroll.csv", tmp_path / "local.csv"
+        enroll.write_text("#dim=4\n")
+        assert run("synth", "--dim", 4, "--latent", 2, "--conversations", 30,
+                   "--slots", 2, "--utts", 2, "--seed", 11, "--out", local) == 0
+        report = tmp_path / "grid.csv"
+        assert run("sweep", "--data", f"{corpus_file},{local}", "--enroll", enroll,
+                   "--test", test_path, "--grid-global", "0,20", "--grid-local", 20,
+                   "--q", 2, "--iters", 2, "--seed", 1, "--report", report) == 2
+        assert not report.exists()
+        assert calls == []
+
     def test_single_data_path_is_usage_error(self, scored_setup, tmp_path,
                                              corpus_file):
         _, enroll_path, test_path = scored_setup

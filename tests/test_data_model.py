@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -265,3 +267,120 @@ def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch, writer):
     assert len(calls) == good_calls
     assert path.read_text() == "old contents\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+def row(i):
+    return f"r{i},{i / 7!r}\n"
+
+
+def rows(a, b):
+    return map(row, range(a, b))
+
+
+def count_forks(monkeypatch):
+    """A list that grows by one at each os.fork call."""
+    calls = []
+    fork = os.fork
+
+    def counting_fork():
+        calls.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return calls
+
+
+class TestChunkedWriter:
+    """_write_chunked against a row-at-a-time reference, with three rows per
+    chunk; the tests' leak guard checks that no worker outlives a write."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        monkeypatch.setattr(data_model, "_CHUNK", 3)
+        return count_forks(monkeypatch)
+
+    @staticmethod
+    def write(path, n, lines=rows):
+        with data_model._replacing(path) as fh:
+            fh.write("head\n")
+            data_model._write_chunked(fh, n, lines)
+
+    @pytest.mark.parametrize("n, cores, workers", [
+        (0, 2, 0),    # header only
+        (3, 2, 0),    # one chunk never forks
+        (6, 2, 1),    # two chunks
+        (20, 2, 1),   # seven chunks: runs of 3 and 4
+        (20, 3, 2),   # runs of 2, 2 and 3, whatever the host's core count
+        (20, 1, 0),   # one usable core
+    ])
+    def test_bytes_equal_row_at_a_time(self, tmp_path, monkeypatch, forks, n, cores,
+                                       workers):
+        monkeypatch.setattr(data_model, "_usable_cores", lambda: cores)
+        path = tmp_path / "out.csv"
+        self.write(path, n)
+        assert path.read_text() == "head\n" + "".join(map(row, range(n)))
+        assert len(forks) == workers
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_run_of_a_failed_worker_is_formatted_here(self, tmp_path, monkeypatch,
+                                                      forks):
+        monkeypatch.setattr(data_model, "_usable_cores", lambda: 3)
+        parent = os.getpid()
+
+        def lines(a, b):
+            if os.getpid() != parent:
+                raise RuntimeError("worker failed")
+            return rows(a, b)
+
+        path = tmp_path / "out.csv"
+        self.write(path, 20, lines)
+        assert path.read_text() == "head\n" + "".join(map(row, range(20)))
+        assert len(forks) == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_run_is_formatted_here_when_fork_fails(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data_model, "_CHUNK", 3)
+
+        def no_fork():
+            raise OSError("no more processes")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        path = tmp_path / "out.csv"
+        self.write(path, 20)
+        assert path.read_text() == "head\n" + "".join(map(row, range(20)))
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    # first bad chunk start: in this process's run, or in the worker's only
+    @pytest.mark.parametrize("bad", [3, 12])
+    def test_failure_everywhere_raises_the_serial_error(self, tmp_path, monkeypatch,
+                                                        forks, bad):
+        monkeypatch.setattr(data_model, "_usable_cores", lambda: 2)
+
+        def lines(a, b):
+            if a >= bad:
+                raise ValueError(f"bad chunk at {a}")
+            return rows(a, b)
+
+        path = tmp_path / "out.csv"
+        path.write_text("old contents\n")
+        with pytest.raises(ValueError, match=f"at {bad}$"):
+            self.write(path, 20, lines)
+        assert len(forks) == 1
+        assert path.read_text() == "old contents\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    # six dim-4 records; a chunk holds _CHUNK // 4 records, at least one,
+    # and with a core per chunk every chunk after the first forks a worker
+    @pytest.mark.parametrize("chunk, workers", [(2, 5), (8, 2), (12, 1), (1 << 16, 0)])
+    def test_corpus_chunk_holds_chunk_over_dim_records(self, tmp_path, monkeypatch,
+                                                       chunk, workers):
+        data = corpus(seed=2, dim=4, q=2, nconv=3, slots=1, utts=2)
+        want = tmp_path / "serial.csv"
+        write_dataset(data, want)
+        forks = count_forks(monkeypatch)
+        monkeypatch.setattr(data_model, "_CHUNK", chunk)
+        monkeypatch.setattr(data_model, "_usable_cores", lambda: 8)
+        path = tmp_path / "out.csv"
+        write_dataset(data, path)
+        assert path.read_bytes() == want.read_bytes()
+        assert len(forks) == workers

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plda_local import eval_harness
+from plda_local import data_model, eval_harness
 from plda_local.data_model import Dataset, UtteranceRecord, merge_datasets
 from plda_local.eval_harness import (
     EvalError,
@@ -21,9 +21,9 @@ from plda_local.eval_harness import (
     write_report,
     write_scores,
 )
-from plda_local.preprocess import cosine_score, fit
+from plda_local.preprocess import fit
 from plda_local.synth import split_eval
-from _helpers import corpus, eer_oracle, read_scores, scaled_truth
+from _helpers import corpus, cosine_score, eer_oracle, read_scores, scaled_truth
 
 
 def tiny_test_set(n=4, dim=3, n_spk=2):
@@ -275,6 +275,25 @@ class TestRunSweep:
         with pytest.raises(EvalError):
             run_sweep(spec, g, l, split.enroll, split.test, cfg)
 
+    @pytest.mark.parametrize("enroll", ["no shared speaker", "empty"])
+    def test_empty_trial_side_fails_before_training(self, monkeypatch, enroll):
+        calls = []
+        train_em = eval_harness.train_em
+
+        def counting(*args):
+            calls.append(1)
+            return train_em(*args)
+
+        monkeypatch.setattr(eval_harness, "train_em", counting)
+        g, l, split = _strategy_fixture(4)
+        models = ({} if enroll == "empty"
+                  else {f"x{m}": recs for m, recs in split.enroll.items()})
+        cfg = StrategyConfig(latent_dim=2, iterations=5, seed=4)
+        spec = SweepSpec(axis_global=(10,), axis_local=(0,), repeats=1, base_seed=0)
+        with pytest.raises(EvalError, match="0 target"):
+            run_sweep(spec, g, l, models, split.test, cfg)
+        assert calls == []
+
     def test_deterministic(self):
         g, l, split = _strategy_fixture(5)
         cfg = StrategyConfig(latent_dim=2, iterations=5, seed=5)
@@ -350,7 +369,7 @@ class TestReportFiles:
         before = path.read_bytes()
         # one row per chunk, and the second row's model index out of range:
         # the first chunk is written before formatting the second raises
-        monkeypatch.setattr(eval_harness, "_CHUNK", 1)
+        monkeypatch.setattr(data_model, "_CHUNK", 1)
         trials.model_idx = np.array([0, 7])
         with pytest.raises(IndexError):
             write_scores(trials, [1.5, 1.25], path)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.stats import multivariate_normal, ortho_group
+from scipy.stats import ortho_group
 
 from plda_local import plda
 from plda_local.data_model import build_global_view
@@ -10,7 +10,6 @@ from plda_local.plda import (
     PldaModel,
     TrainConfig,
     load_model,
-    marginal_loglik,
     save_model,
     score_llr,
     score_trialset,
@@ -19,7 +18,7 @@ from plda_local.plda import (
 from plda_local.preprocess import Preprocessor
 from plda_local.synth import SynthConfig, sample_conversations, sample_truth
 from plda_local.eval_harness import generate_trials
-from _helpers import corpus, dense_class_loglik, dense_llr, random_model
+from _helpers import corpus, dense_llr, random_model
 
 
 class TestModelValidation:
@@ -44,44 +43,6 @@ class TestModelValidation:
         assert m._logdet_sigma == pytest.approx(np.linalg.slogdet(m.Sigma)[1], abs=1e-12)
         np.testing.assert_allclose(m._G, m.V.T @ S_inv, atol=1e-12)
         np.testing.assert_allclose(m._F, m.V.T @ S_inv @ m.V, atol=1e-12)
-
-
-class TestMarginalLoglik:
-    def test_q0_single_vector_is_gaussian_density(self):
-        rng = np.random.default_rng(1)
-        m = random_model(rng, 3, 0)
-        w = rng.normal(size=3)
-        expected = multivariate_normal.logpdf(w, mean=m.u, cov=m.Sigma)
-        assert marginal_loglik(m, [w[None, :]]) == pytest.approx(expected, abs=1e-10)
-
-    def test_additive_over_singleton_classes(self):
-        rng = np.random.default_rng(2)
-        m = random_model(rng, 3, 2)
-        a, b = rng.normal(size=(2, 3))
-        total = marginal_loglik(m, [a[None, :], b[None, :]])
-        assert total == pytest.approx(
-            marginal_loglik(m, [a[None, :]]) + marginal_loglik(m, [b[None, :]]),
-            abs=1e-10,
-        )
-
-    def test_matches_dense_joint_gaussian(self):
-        rng = np.random.default_rng(3)
-        m = random_model(rng, 2, 1)
-        X = rng.normal(size=(3, 2))
-        assert marginal_loglik(m, [X]) == pytest.approx(
-            dense_class_loglik(m, X), abs=1e-8
-        )
-
-    def test_oracle_equivalence_all_small_shapes(self):
-        rng = np.random.default_rng(4)
-        for d in (1, 2, 3):
-            for q in range(0, d + 1):
-                m = random_model(rng, d, q)
-                for n in (1, 2, 3, 4):
-                    X = rng.normal(size=(n, d))
-                    assert marginal_loglik(m, [X]) == pytest.approx(
-                        dense_class_loglik(m, X), abs=1e-8
-                    )
 
 
 class TestScoreLlr:
