@@ -137,8 +137,8 @@ def _load_train_material(data_arg: str, labels: str):
         return data, build_local_view(data)
     # pooled from one file: globally labeled records form the global part,
     # unlabeled records the local part
-    g_utts = [r.utt_id for r in data.records if r.global_spk is not None]
-    l_utts = [r.utt_id for r in data.records if r.global_spk is None]
+    g_utts = [u for u, s in zip(data.utt_ids, data.global_spks) if s is not None]
+    l_utts = [u for u, s in zip(data.utt_ids, data.global_spks) if s is None]
     if not g_utts or not l_utts:
         raise DataError(
             "pooled training from one file needs both labeled ('global_spk' set) "
@@ -171,7 +171,8 @@ def _cmd_score(ns) -> int:
     test = read_dataset(ns.test)
     enroll_vecs, test_vecs = eval_harness.preprocess_split(pp, enroll, test)
     trials = eval_harness.generate_trials(
-        sorted(enroll), test, {r.utt_id: r.global_spk or "?" for r in test.records}
+        sorted(enroll), test,
+        dict(zip(test.utt_ids, (s or "?" for s in test.global_spks)))
     )
     scores = plda.score_trialset(model, enroll_vecs, trials, test_vecs)
     eval_harness.write_scores(trials, scores, ns.scores)

@@ -7,6 +7,8 @@ identity. Pooled views take the disjoint union of one view of each kind.
 """
 from __future__ import annotations
 
+import mmap
+import operator
 import os
 import shutil
 import signal
@@ -38,10 +40,38 @@ MISSING = "-"
 def _check_id(name, value, forbid_colon=False):
     if not value:
         raise DataError(f"{name} must be a non-empty string")
-    if "," in value or "\n" in value:
-        raise DataError(f"{name} {value!r} may not contain ',' or newlines")
+    # a corpus file splits rows with str.splitlines and fields on ','
+    if "," in value or value.splitlines() != [value]:
+        raise DataError(f"{name} {value!r} may not contain ',' or line breaks")
     if forbid_colon and ":" in value:
         raise DataError(f"{name} {value!r} may not contain ':'")
+
+
+def _check_fields(utt_id, conv_id, slot, global_spk) -> int:
+    """Check one record's identifiers and return its slot as an int."""
+    _check_id("utt_id", utt_id)
+    _check_id("conv_id", conv_id, forbid_colon=True)
+    try:
+        slot = operator.index(slot)
+    except TypeError:
+        raise DataError(f"slot must be an integer, got {slot!r}") from None
+    if slot < 0:
+        raise DataError(f"slot must be non-negative, got {slot}")
+    if global_spk is not None:
+        _check_id("global_spk", global_spk)
+        if global_spk == MISSING:
+            raise DataError(f"global_spk {MISSING!r} marks a record without one "
+                            f"in a corpus file; pass None")
+    return slot
+
+
+def _check_finite(utt_id, vector):
+    if not np.all(np.isfinite(vector)):
+        raise DataError(f"vector for {utt_id} has non-finite components")
+
+
+def _local_class(conv_id, slot) -> str:
+    return f"{conv_id}:{slot}"
 
 
 @dataclass(frozen=True)
@@ -49,7 +79,9 @@ class UtteranceRecord:
     """One i-vector with its identifiers.
 
     ``global_spk`` is None when the corpus-wide speaker identity is unknown
-    (the situation local labels exist to work around).
+    (the situation local labels exist to work around). Identifiers may not
+    contain ',' or a line break, and a ``global_spk`` of '-' is refused,
+    because a corpus file could not give any of them back.
     """
 
     utt_id: str
@@ -59,74 +91,119 @@ class UtteranceRecord:
     vector: np.ndarray
 
     def __post_init__(self):
-        _check_id("utt_id", self.utt_id)
-        _check_id("conv_id", self.conv_id, forbid_colon=True)
-        if self.slot < 0:
-            raise DataError(f"slot must be non-negative, got {self.slot}")
-        if self.global_spk is not None:
-            _check_id("global_spk", self.global_spk)
+        slot = _check_fields(self.utt_id, self.conv_id, self.slot, self.global_spk)
         v = np.asarray(self.vector, dtype=np.float64)
         if v.ndim != 1:
             raise DataError(f"vector for {self.utt_id} must be 1-dimensional")
-        if not np.all(np.isfinite(v)):
-            raise DataError(f"vector for {self.utt_id} has non-finite components")
+        _check_finite(self.utt_id, v)
         v = v.copy()
         v.setflags(write=False)
+        object.__setattr__(self, "slot", slot)
         object.__setattr__(self, "vector", v)
+
+    @classmethod
+    def _view(cls, utt_id, conv_id, slot, global_spk, vector):
+        """A record over one row of a Dataset, whose fields are already
+        checked; ``vector`` is the read-only matrix row, not a copy."""
+        r = object.__new__(cls)
+        r.__dict__.update(utt_id=utt_id, conv_id=conv_id, slot=slot,
+                          global_spk=global_spk, vector=vector)
+        return r
 
     @property
     def local_class(self) -> str:
-        return f"{self.conv_id}:{self.slot}"
+        return _local_class(self.conv_id, self.slot)
 
 
-@dataclass(frozen=True)
 class Dataset:
-    """An ordered collection of utterance records sharing one dimension."""
+    """An ordered collection of utterances sharing one dimension, held as
+    columns.
 
-    dim: int
-    records: tuple[UtteranceRecord, ...]
+    ``utt_ids``, ``conv_ids``, ``slots`` and ``global_spks`` (None where the
+    speaker is unknown) are tuples in row order, and ``vectors()`` is one
+    read-only (n, dim) float64 matrix. ``records`` gives the rows as
+    UtteranceRecord views, built on first use.
+    """
 
-    def __post_init__(self):
-        if self.dim <= 0:
-            raise DataError(f"dim must be positive, got {self.dim}")
-        object.__setattr__(self, "records", tuple(self.records))
+    def __init__(self, dim: int, records):
+        if dim <= 0:
+            raise DataError(f"dim must be positive, got {dim}")
+        records = tuple(records)
         seen = set()
-        for r in self.records:
-            if r.vector.shape[0] != self.dim:
+        for r in records:
+            if r.vector.shape[0] != dim:
                 raise DataError(
                     f"record {r.utt_id} has dimension {r.vector.shape[0]}, "
-                    f"dataset declares {self.dim}"
+                    f"dataset declares {dim}"
                 )
             if r.utt_id in seen:
                 raise DataError(f"duplicate utt_id {r.utt_id}")
             seen.add(r.utt_id)
+        self._assign(dim, tuple(r.utt_id for r in records),
+                     tuple(r.conv_id for r in records), tuple(r.slot for r in records),
+                     tuple(r.global_spk for r in records),
+                     np.stack([r.vector for r in records]) if records
+                     else np.empty((0, dim)))
+        self._records = records
+
+    @classmethod
+    def _columns(cls, dim, utt_ids, conv_ids, slots, global_spks, vectors) -> "Dataset":
+        """A dataset over columns the caller has checked: every field valid,
+        utt_ids distinct, and ``vectors`` an (n, dim) float64 matrix."""
+        data = cls.__new__(cls)
+        data._assign(dim, utt_ids, conv_ids, slots, global_spks, vectors)
+        data._records = None
+        return data
+
+    def _assign(self, dim, utt_ids, conv_ids, slots, global_spks, vectors):
+        vectors.setflags(write=False)
+        self.dim = dim
+        self.utt_ids = utt_ids
+        self.conv_ids = conv_ids
+        self.slots = slots
+        self.global_spks = global_spks
+        self._vectors = vectors
 
     def __len__(self):
-        return len(self.records)
+        return len(self.utt_ids)
+
+    @property
+    def records(self) -> tuple[UtteranceRecord, ...]:
+        if self._records is None:
+            self._records = tuple(map(UtteranceRecord._view, self.utt_ids,
+                                      self.conv_ids, self.slots, self.global_spks,
+                                      self._vectors))
+        return self._records
 
     def vectors(self) -> np.ndarray:
-        """All vectors stacked into an (n, dim) array, in record order."""
-        if not self.records:
-            return np.empty((0, self.dim))
-        return np.stack([r.vector for r in self.records])
-
-    def by_utt(self) -> dict[str, UtteranceRecord]:
-        return {r.utt_id: r for r in self.records}
+        """All vectors as a read-only (n, dim) array, in row order."""
+        return self._vectors
 
     def subset(self, utt_ids) -> "Dataset":
-        """Records whose utt_id is in ``utt_ids``, preserving dataset order."""
+        """Rows whose utt_id is in ``utt_ids``, preserving dataset order."""
         wanted = set(utt_ids)
-        return Dataset(self.dim, tuple(r for r in self.records if r.utt_id in wanted))
+        return self._take([i for i, u in enumerate(self.utt_ids) if u in wanted])
+
+    def _take(self, rows) -> "Dataset":
+        """The rows at the given indices, in that order."""
+        def take(col):
+            return tuple(map(col.__getitem__, rows))
+
+        return Dataset._columns(self.dim, take(self.utt_ids), take(self.conv_ids),
+                                take(self.slots), take(self.global_spks),
+                                self._vectors[rows])
 
 
 def merge_datasets(a: Dataset, b: Dataset) -> Dataset:
     """Concatenate two datasets; utt_ids must be disjoint."""
     if a.dim != b.dim:
         raise DataError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    overlap = {r.utt_id for r in a.records} & {r.utt_id for r in b.records}
+    overlap = set(a.utt_ids) & set(b.utt_ids)
     if overlap:
         raise DataError(f"overlapping utt_ids: {sorted(overlap)[:5]}")
-    return Dataset(a.dim, a.records + b.records)
+    return Dataset._columns(a.dim, a.utt_ids + b.utt_ids, a.conv_ids + b.conv_ids,
+                            a.slots + b.slots, a.global_spks + b.global_spks,
+                            np.concatenate([a.vectors(), b.vectors()]))
 
 
 @dataclass(frozen=True)
@@ -153,28 +230,38 @@ class LabelView:
         return len(self.classes)
 
 
+def _speaker_rows(data: Dataset) -> dict[str, list[int]]:
+    """Row indices per global speaker id: speakers in order of first
+    appearance, rows in dataset order. A row without one raises
+    LabelingError."""
+    groups: dict[str, list[int]] = {}
+    for i, spk in enumerate(data.global_spks):
+        if spk is None:
+            raise LabelingError(f"record {data.utt_ids[i]} has no global speaker label")
+        groups.setdefault(spk, []).append(i)
+    return groups
+
+
 def group_by_speaker(data: Dataset) -> dict[str, list[UtteranceRecord]]:
     """Records per global speaker id: speakers in order of first appearance,
     records in dataset order. A record without one raises LabelingError."""
-    groups: dict[str, list[UtteranceRecord]] = {}
-    for r in data.records:
-        if r.global_spk is None:
-            raise LabelingError(f"record {r.utt_id} has no global speaker label")
-        groups.setdefault(r.global_spk, []).append(r)
-    return groups
+    groups = _speaker_rows(data)
+    records = data.records
+    return {spk: [records[i] for i in rows] for spk, rows in groups.items()}
 
 
 def build_global_view(data: Dataset) -> LabelView:
     """One class per distinct global speaker id."""
-    return LabelView("global", {k: tuple(r.utt_id for r in v)
-                                for k, v in group_by_speaker(data).items()})
+    ids = data.utt_ids
+    return LabelView("global", {spk: tuple(ids[i] for i in rows)
+                                for spk, rows in _speaker_rows(data).items()})
 
 
 def build_local_view(data: Dataset) -> LabelView:
     """One class per (conv_id, slot) pair; global labels are ignored."""
     classes: dict[str, list[str]] = {}
-    for r in data.records:
-        classes.setdefault(r.local_class, []).append(r.utt_id)
+    for utt, conv, slot in zip(data.utt_ids, data.conv_ids, data.slots):
+        classes.setdefault(_local_class(conv, slot), []).append(utt)
     return LabelView("local", {k: tuple(v) for k, v in classes.items()})
 
 
@@ -214,7 +301,7 @@ def _replacing(path):
         raise
 
 
-_CHUNK = 1 << 16  # values formatted per write
+_CHUNK = 1 << 16  # values formatted or parsed per chunk
 
 
 def _usable_cores() -> int:
@@ -224,39 +311,29 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _write_chunked(fh, n, lines, width=1):
-    """Write rows 0..n-1 of a ``_replacing`` handle in chunks of about
-    _CHUNK values: lines(start, stop) yields the text of rows start..stop-1,
-    a row holds ``width`` values, and each chunk is one "".join and one
-    write, so no per-row Python object outlives its chunk.
-
-    With several chunks and several usable cores, the chunks are split into
-    one contiguous run per core. A forked worker formats each run after the
-    first into a part file beside ``fh``'s file while this process formats
-    the first run, then the parts are appended in order, so the bytes equal
-    a one-process write. A worker only runs ``lines``, which must do nothing
-    but Python formatting and numpy slicing or ``tolist``: never BLAS, whose
-    thread pool does not survive ``fork``. A run whose worker failed, or
-    could not be forked, is formatted here; formatting is deterministic, so
-    a bad row raises what a one-process write raises. No worker and no part
-    file outlives the call.
-    """
-    step = max(1, _CHUNK // width)
+def _chunk_runs(n, step):
+    """The chunk starts 0, step, 2 step, ... below n, split into one
+    contiguous run per usable core: one run without ``os.fork``."""
     starts = range(0, n, step)
-    k = min(_usable_cores(), len(starts)) if hasattr(os, "fork") else 1
+    k = max(1, min(_usable_cores(), len(starts))) if hasattr(os, "fork") else 1
+    return [starts[i * len(starts) // k:(i + 1) * len(starts) // k] for i in range(k)]
 
-    def format_run(out, run):
-        for a in run:
-            out.write("".join(lines(a, min(a + step, n))))
 
-    if k <= 1:
-        format_run(fh, starts)
-        return
-    runs = [starts[i * len(starts) // k:(i + 1) * len(starts) // k] for i in range(k)]
-    parts = [f"{fh.name}.{i}.part" for i in range(1, k)]
-    pids = {}  # part -> pid of its worker, until reaped
+def _forked(runs, here, worker=None, done=None):
+    """Do the first of ``runs`` here and each later one in a forked worker.
+
+    here(run) does a run in this process, and a forked worker calls
+    worker(run), here(run) by default. After the first run, each worker is
+    waited for in order: done(run) is called when it exited cleanly, and
+    here(run) when it failed or could not be forked. A run must be
+    deterministic, so a fault raises here what a one-process pass raises,
+    at the first run that has one. A worker may do nothing but Python
+    parsing or formatting and numpy slicing: never BLAS, whose thread pool
+    does not survive ``fork``. No worker outlives the call.
+    """
+    pids = {}  # run index -> pid of its worker, until reaped
     try:
-        for part, run in zip(parts, runs[1:]):
+        for i in range(1, len(runs)):
             try:
                 pid = os.fork()
             except OSError:
@@ -264,48 +341,111 @@ def _write_chunked(fh, n, lines, width=1):
             if pid == 0:
                 code = 1
                 try:
-                    with open(part, "x", encoding="utf-8", newline="\n") as out:
-                        format_run(out, run)
+                    (worker or here)(runs[i])
                     code = 0
                 finally:
                     os._exit(code)
-            pids[part] = pid
-        format_run(fh, runs[0])
-        for part, run in zip(parts, runs[1:]):
+            pids[i] = pid
+        here(runs[0])
+        for i in range(1, len(runs)):
             ok = False
-            if part in pids:
-                ok = os.waitstatus_to_exitcode(os.waitpid(pids[part], 0)[1]) == 0
-                del pids[part]
-            if ok:
-                fh.flush()
-                with open(part, "rb") as src:
-                    shutil.copyfileobj(src, fh.buffer)
-            else:
-                format_run(fh, run)
+            if i in pids:
+                ok = os.waitstatus_to_exitcode(os.waitpid(pids[i], 0)[1]) == 0
+                del pids[i]
+            if not ok:
+                here(runs[i])
+            elif done is not None:
+                done(runs[i])
     finally:
         for pid in pids.values():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        for part in parts:
+
+
+def _write_chunked(fh, n, lines, width=1):
+    """Write rows 0..n-1 of a ``_replacing`` handle in chunks of about
+    _CHUNK values: lines(start, stop) yields the text of rows start..stop-1,
+    a row holds ``width`` values, and each chunk is one "".join and one
+    write, so no per-row Python object outlives its chunk.
+
+    The chunks are split into one contiguous run per usable core
+    (``_forked``). A worker formats its run into a part file beside
+    ``fh``'s file while this process formats the first run, then the parts
+    are appended in order, so the bytes equal a one-process write. No part
+    file outlives the call.
+    """
+    step = max(1, _CHUNK // width)
+    runs = _chunk_runs(n, step)
+
+    def part(run):
+        return f"{fh.name}.{run.start}.part"
+
+    def format_run(out, run):
+        for a in run:
+            out.write("".join(lines(a, min(a + step, n))))
+
+    def worker(run):
+        with open(part(run), "x", encoding="utf-8", newline="\n") as out:
+            format_run(out, run)
+
+    def append(run):
+        fh.flush()
+        with open(part(run), "rb") as src:
+            shutil.copyfileobj(src, fh.buffer)
+
+    try:
+        _forked(runs, lambda run: format_run(fh, run), worker, append)
+    finally:
+        for run in runs[1:]:
             with suppress(FileNotFoundError):
-                os.remove(part)
+                os.remove(part(run))
 
 
 def write_dataset(data: Dataset, path) -> None:
-    records = data.records
+    columns = (data.utt_ids, data.conv_ids, data.slots, data.global_spks)
+    X = data.vectors()
 
     def lines(a, b):
-        for r in records[a:b]:
-            spk = r.global_spk if r.global_spk is not None else MISSING
-            comps = ",".join(map(format_float, r.vector.tolist()))
-            yield f"{r.utt_id},{r.conv_id},{r.slot},{spk},{comps}\n"
+        for utt, conv, slot, spk, row in zip(*(c[a:b] for c in columns),
+                                              X[a:b].tolist()):
+            comps = ",".join(map(format_float, row))
+            yield f"{utt},{conv},{slot},{MISSING if spk is None else spk},{comps}\n"
 
     with _replacing(path) as fh:
         fh.write(f"#dim={data.dim}\n")
-        _write_chunked(fh, len(records), lines, width=data.dim)
+        _write_chunked(fh, len(data), lines, width=data.dim)
+
+
+def _check_line(line, dim, seen):
+    """Every check of one corpus row, in order: field count, duplicate
+    utt_id (against ``seen``), integer slot, numeric components, the
+    record's identifiers, finite components. Raises DataError."""
+    parts = line.split(",")
+    if len(parts) != 4 + dim:
+        raise DataError(f"expected {4 + dim} fields, got {len(parts)}")
+    utt_id, conv_id, slot, spk = parts[:4]
+    if utt_id in seen:
+        raise DataError(f"duplicate utt_id {utt_id}")
+    try:
+        slot = int(slot)
+    except ValueError:
+        raise DataError(f"bad slot {slot!r}") from None
+    try:
+        vector = [float(x) for x in parts[4:]]
+    except ValueError:
+        raise DataError("non-numeric vector component") from None
+    _check_fields(utt_id, conv_id, slot, None if spk == MISSING else spk)
+    _check_finite(utt_id, vector)
 
 
 def read_dataset(path) -> Dataset:
+    """Read a corpus file into a Dataset.
+
+    A faulty file raises ParseError naming its first faulty line and, on
+    that line, the first failed check in ``_check_line``'s order. The ids
+    are split off each row here; the components are parsed on every usable
+    core (``_forked``) into one shared matrix, a run of rows per core.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or not lines[0].startswith("#dim="):
@@ -317,38 +457,65 @@ def read_dataset(path) -> Dataset:
     if dim <= 0:
         raise ParseError(f"{path}: line 1: dimension must be positive")
 
-    records = []
+    utt_ids, conv_ids, slots, spks = [], [], [], []
+    where = []  # index in ``lines`` of each row
     seen = set()
-    for lineno, line in enumerate(lines[1:], start=2):
+    fault = None  # the first faulty row's error, raised once the rows before it parse
+    for w in range(1, len(lines)):
+        line = lines[w]
         if not line.strip():
             continue
-        parts = line.split(",")
-        if len(parts) != 4 + dim:
-            raise ParseError(
-                f"{path}: line {lineno}: expected {4 + dim} fields, got {len(parts)}"
-            )
-        utt_id, conv_id, slot_s, spk = parts[:4]
-        if utt_id in seen:
-            raise ParseError(f"{path}: line {lineno}: duplicate utt_id {utt_id}")
-        seen.add(utt_id)
+        # a row is split here only up to its components, so the field count
+        # is checked where they are parsed; fields split off a line hold no
+        # ',' or line break, so these tests are the whole of _check_fields
         try:
-            slot = int(slot_s)
+            utt, conv, slot, spk, _ = line.split(",", 4)
+            slot = int(slot)
         except ValueError:
-            raise ParseError(f"{path}: line {lineno}: bad slot {slot_s!r}") from None
-        try:
-            vec = np.array([float(x) for x in parts[4:]])
-        except ValueError:
-            raise ParseError(f"{path}: line {lineno}: non-numeric vector component") from None
-        try:
-            records.append(
-                UtteranceRecord(
-                    utt_id=utt_id,
-                    conv_id=conv_id,
-                    slot=slot,
-                    global_spk=None if spk == MISSING else spk,
-                    vector=vec,
-                )
-            )
-        except DataError as e:
-            raise ParseError(f"{path}: line {lineno}: {e}") from None
-    return Dataset(dim, tuple(records))
+            ok = False
+        else:
+            spk = None if spk == MISSING else spk
+            ok = (utt not in seen and utt and conv and ":" not in conv and slot >= 0
+                  and spk != "")
+        if not ok:
+            try:
+                _check_line(line, dim, seen)
+            except DataError as e:
+                fault = ParseError(f"{path}: line {w + 1}: {e}")
+            break
+        seen.add(utt)
+        utt_ids.append(utt)
+        conv_ids.append(conv)
+        slots.append(slot)
+        spks.append(spk)
+        where.append(w)
+
+    n = len(where)
+    X = np.frombuffer(mmap.mmap(-1, 8 * max(1, n * dim)), np.float64,
+                      n * dim).reshape(n, dim)
+    step = max(1, _CHUNK // dim)
+
+    def parse(run):
+        for a in run:
+            b = min(a + step, n)
+            comps = [lines[w].split(",", 4)[4] for w in where[a:b]]
+            ok = all(c.count(",") == dim - 1 for c in comps)
+            if ok:
+                try:
+                    X[a:b] = np.fromiter(map(float, ",".join(comps).split(",")),
+                                         np.float64, (b - a) * dim).reshape(b - a, dim)
+                except ValueError:
+                    ok = False
+            if not (ok and np.isfinite(X[a:b]).all()):
+                # rows before the first faulty one passed every other check
+                for w in where[a:b]:
+                    try:
+                        _check_line(lines[w], dim, ())
+                    except DataError as e:
+                        raise ParseError(f"{path}: line {w + 1}: {e}") from None
+
+    _forked(_chunk_runs(n, step), parse)
+    if fault is not None:
+        raise fault
+    return Dataset._columns(dim, tuple(utt_ids), tuple(conv_ids), tuple(slots),
+                            tuple(spks), X)

@@ -97,7 +97,7 @@ def generate_trials(enroll_ids, test: Dataset, key_source: dict) -> TrialSet:
     equals the enroll model's speaker id.
     """
     model_ids = list(enroll_ids)
-    test_ids = [r.utt_id for r in test.records]
+    test_ids = list(test.utt_ids)
     for tid in test_ids:
         if tid not in key_source:
             raise EvalError(f"test utterance {tid!r} has no true-speaker key")
@@ -225,7 +225,7 @@ def preprocess_split(pp, enroll: dict, test: Dataset):
     T = pp.apply(test.vectors())
     cuts = np.cumsum([len(enroll[m]) for m in model_ids[:-1]], dtype=np.int64)
     return (dict(zip(model_ids, np.split(E, cuts))),
-            dict(zip([r.utt_id for r in test.records], T)))
+            dict(zip(test.utt_ids, T)))
 
 
 def _train_and_score(train_data, view, cfg: StrategyConfig, eval_enroll, eval_test,
@@ -259,7 +259,7 @@ def run_strategy(strategy, global_data, local_data, eval_enroll, eval_test,
     scores are written to scores_path when given.
     """
     train_data, view = _training_material(strategy, global_data, local_data)
-    key_source = {r.utt_id: r.global_spk for r in eval_test.records}
+    key_source = dict(zip(eval_test.utt_ids, eval_test.global_spks))
     trials = generate_trials(sorted(eval_enroll), eval_test, key_source)
     scores = _train_and_score(train_data, view, cfg, eval_enroll, eval_test, trials)
     report = eval_report(scores, trials.target)
@@ -313,7 +313,7 @@ def run_sweep(spec: SweepSpec, global_data, local_data, eval_enroll, eval_test,
     l_classes = sorted(l_view.classes) if l_view else []
     sides = ((global_data, g_view, g_classes), (local_data, l_view, l_classes))
 
-    key_source = {r.utt_id: r.global_spk for r in eval_test.records}
+    key_source = dict(zip(eval_test.utt_ids, eval_test.global_spks))
     trials = generate_trials(sorted(eval_enroll), eval_test, key_source)
     if trials.n_target == 0 or trials.n_nontarget == 0:
         raise EvalError(f"the trial set has {trials.n_target} target and "

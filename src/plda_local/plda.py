@@ -204,16 +204,13 @@ def score_trialset(model: PldaModel, enroll_models: dict, trials,
 def _collect_classes(data: Dataset, view: LabelView, pp: Preprocessor | None):
     if view.n_classes < 2:
         raise PldaError(f"need at least 2 classes, have {view.n_classes}")
-    by_utt = data.by_utt()
-    rows = []
-    counts = []
-    for members in view.classes.values():
-        for utt in members:
-            if utt not in by_utt:
-                raise PldaError(f"label view references unknown utt_id {utt!r}")
-            rows.append(by_utt[utt].vector)
-        counts.append(len(members))
-    X = np.stack(rows)
+    row = dict(zip(data.utt_ids, range(len(data))))
+    try:
+        rows = [row[u] for members in view.classes.values() for u in members]
+    except KeyError as e:
+        raise PldaError(f"label view references unknown utt_id {e.args[0]!r}") from None
+    counts = [len(members) for members in view.classes.values()]
+    X = data.vectors()[rows]
     if pp is not None:
         X = pp.apply(X)
     return X, np.array(counts, dtype=np.int64)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data_model import Dataset, UtteranceRecord, group_by_speaker
+from .data_model import Dataset, UtteranceRecord, _speaker_rows
 from .plda import PldaModel
 
 
@@ -63,7 +63,7 @@ def sample_truth(cfg: SynthConfig) -> PldaModel:
 
 
 def sample_conversations(cfg: SynthConfig) -> Dataset:
-    """Simulate conversations and emit one record per utterance.
+    """Simulate conversations and emit one row per utterance.
 
     Within a conversation all slots hold distinct speakers; a recurrence draw
     that collides with a speaker already in the conversation is redrawn, with a
@@ -78,8 +78,9 @@ def sample_conversations(cfg: SynthConfig) -> Dataset:
     # ids carry the seed so corpora drawn with different seeds can be merged
     tag = f"x{cfg.seed}"
     speakers_y: list[np.ndarray] = []  # latent factor per speaker, by index
-    records = []
-    utt_counter = 0
+    X = np.empty((cfg.n_conversations * cfg.slots_per_conversation * cfg.utts_per_slot,
+                  cfg.dim))
+    utt_ids, conv_ids, slots, spk_ids = [], [], [], []
     for c in range(cfg.n_conversations):
         conv_id = f"{tag}c{c:05d}"
         in_conv: set[int] = set()
@@ -102,17 +103,13 @@ def sample_conversations(cfg: SynthConfig) -> Dataset:
             base = truth.u + truth.V @ speakers_y[spk]
             for j in range(cfg.utts_per_slot):
                 z = chol @ rng.standard_normal(cfg.dim)
-                records.append(
-                    UtteranceRecord(
-                        utt_id=f"{tag}u{utt_counter:07d}",
-                        conv_id=conv_id,
-                        slot=slot,
-                        global_spk=f"{tag}s{spk:06d}",
-                        vector=base + z,
-                    )
-                )
-                utt_counter += 1
-    return Dataset(cfg.dim, tuple(records))
+                X[len(utt_ids)] = base + z
+                utt_ids.append(f"{tag}u{len(utt_ids):07d}")
+                conv_ids.append(conv_id)
+                slots.append(slot)
+                spk_ids.append(f"{tag}s{spk:06d}")
+    return Dataset._columns(cfg.dim, tuple(utt_ids), tuple(conv_ids), tuple(slots),
+                            tuple(spk_ids), X)
 
 
 @dataclass(frozen=True)
@@ -130,24 +127,19 @@ def split_eval(data: Dataset, n_enroll_per_spk: int, n_test_per_spk: int,
     excluded and counted."""
     if n_enroll_per_spk < 1 or n_test_per_spk < 1:
         raise SynthError("per-speaker counts must be >= 1")
-    by_spk = group_by_speaker(data)
+    by_spk = _speaker_rows(data)
+    records = data.records
     rng = np.random.default_rng(seed)
     enroll: dict[str, tuple[UtteranceRecord, ...]] = {}
-    test_records: list[UtteranceRecord] = []
+    test_rows: list[int] = []
     excluded = 0
     need = n_enroll_per_spk + n_test_per_spk
     for spk in sorted(by_spk):
-        utts = by_spk[spk]
-        if len(utts) < need:
+        rows = by_spk[spk]
+        if len(rows) < need:
             excluded += 1
             continue
-        order = rng.permutation(len(utts))
-        enroll[spk] = tuple(utts[i] for i in order[:n_enroll_per_spk])
-        test_records.extend(
-            utts[i] for i in order[n_enroll_per_spk:need]
-        )
-    return EvalSplit(
-        enroll=enroll,
-        test=Dataset(data.dim, tuple(test_records)),
-        n_excluded=excluded,
-    )
+        order = rng.permutation(len(rows))
+        enroll[spk] = tuple(records[rows[i]] for i in order[:n_enroll_per_spk])
+        test_rows.extend(rows[i] for i in order[n_enroll_per_spk:need])
+    return EvalSplit(enroll=enroll, test=data._take(test_rows), n_excluded=excluded)

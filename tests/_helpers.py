@@ -6,6 +6,13 @@ sweeps) so they cannot share a bug with the implementation paths they check.
 import numpy as np
 from scipy.stats import multivariate_normal
 
+from plda_local.data_model import (
+    MISSING,
+    DataError,
+    Dataset,
+    ParseError,
+    UtteranceRecord,
+)
 from plda_local.plda import PldaModel
 from plda_local.synth import SynthConfig, sample_conversations, sample_truth
 
@@ -45,6 +52,57 @@ def read_scores(path):
         assert fh.readline() == "model_id,test_utt_id,score\n"
         rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
     return [(mid, tid, float(s)) for mid, tid, s in rows]
+
+
+def read_dataset_rows(path):
+    """A corpus file read one row at a time into records, each checked as
+    it is built: the reference for ``read_dataset``'s values and errors."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines or not lines[0].startswith("#dim="):
+        raise ParseError(f"{path}: line 1: expected '#dim=<d>' header")
+    try:
+        dim = int(lines[0][len("#dim="):])
+    except ValueError:
+        raise ParseError(f"{path}: line 1: malformed dimension {lines[0]!r}") from None
+    if dim <= 0:
+        raise ParseError(f"{path}: line 1: dimension must be positive")
+
+    records = []
+    seen = set()
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != 4 + dim:
+            raise ParseError(
+                f"{path}: line {lineno}: expected {4 + dim} fields, got {len(parts)}"
+            )
+        utt_id, conv_id, slot_s, spk = parts[:4]
+        if utt_id in seen:
+            raise ParseError(f"{path}: line {lineno}: duplicate utt_id {utt_id}")
+        seen.add(utt_id)
+        try:
+            slot = int(slot_s)
+        except ValueError:
+            raise ParseError(f"{path}: line {lineno}: bad slot {slot_s!r}") from None
+        try:
+            vec = np.array([float(x) for x in parts[4:]])
+        except ValueError:
+            raise ParseError(f"{path}: line {lineno}: non-numeric vector component") from None
+        try:
+            records.append(
+                UtteranceRecord(
+                    utt_id=utt_id,
+                    conv_id=conv_id,
+                    slot=slot,
+                    global_spk=None if spk == MISSING else spk,
+                    vector=vec,
+                )
+            )
+        except DataError as e:
+            raise ParseError(f"{path}: line {lineno}: {e}") from None
+    return Dataset(dim, tuple(records))
 
 
 def member_count(view):

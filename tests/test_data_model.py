@@ -1,9 +1,15 @@
+import ast
 import os
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from plda_local import data_model, eval_harness, plda
+from plda_local import cli, data_model, eval_harness, plda
 from plda_local.data_model import (
     DataError,
     Dataset,
@@ -20,7 +26,8 @@ from plda_local.data_model import (
 )
 from plda_local.eval_harness import SweepGrid
 from plda_local.preprocess import Preprocessor
-from _helpers import corpus, member_count, partition, random_model
+from _helpers import corpus, member_count, partition, random_model, read_dataset_rows
+from test_golden_output import SPECIAL
 
 
 def rec(utt, conv="c1", slot=0, spk="A", vec=(1.0, 2.0)):
@@ -40,6 +47,30 @@ class TestRecords:
     def test_rejects_negative_slot(self):
         with pytest.raises(DataError):
             rec("u1", slot=-1)
+
+    # every separator str.splitlines breaks a row on, and the field separator
+    @pytest.mark.parametrize("sep", [",", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d",
+                                     "\x1e", "\x85", "\u2028", "\u2029"])
+    @pytest.mark.parametrize("field", ["utt_id", "conv_id", "global_spk"])
+    def test_rejects_an_id_the_file_cannot_carry(self, field, sep):
+        fields = dict(utt_id="u1", conv_id="c1", slot=0, global_spk="A",
+                      vector=np.zeros(2))
+        fields[field] = f"a{sep}b"
+        with pytest.raises(DataError, match="may not contain ',' or line breaks"):
+            UtteranceRecord(**fields)
+
+    def test_rejects_the_missing_speaker_mark(self):
+        # a corpus file writes a record without a speaker as '-'
+        with pytest.raises(DataError, match="pass None"):
+            rec("u1", spk="-")
+
+    def test_rejects_a_non_integer_slot(self):
+        with pytest.raises(DataError, match="slot must be an integer"):
+            rec("u1", slot=1.5)
+
+    def test_integer_slot_becomes_int(self):
+        r = rec("u1", slot=np.int64(3))
+        assert r.slot == 3 and type(r.slot) is int
 
     def test_local_class_composition(self):
         assert rec("u1", conv="c7", slot=3).local_class == "c7:3"
@@ -132,9 +163,9 @@ class TestLocalView:
 
     def test_never_merges_conversations(self):
         data = corpus(seed=3, dim=3, q=1, nconv=30, slots=2, utts=2, rho=0.5)
-        by_utt = data.by_utt()
+        conv_of = dict(zip(data.utt_ids, data.conv_ids))
         for members in build_local_view(data).classes.values():
-            assert len({by_utt[u].conv_id for u in members}) == 1
+            assert len({conv_of[u] for u in members}) == 1
 
 
 class TestPooledView:
@@ -195,6 +226,19 @@ class TestFileRoundTrip:
             assert (a.utt_id, a.conv_id, a.slot, a.global_spk) == \
                    (b.utt_id, b.conv_id, b.slot, b.global_spk)
             np.testing.assert_array_equal(a.vector, b.vector)
+
+    # characters beside the refused ones: '\t' and '\x1f' break no line
+    @pytest.mark.parametrize("name", ["a\tb", "a\x1fb", " a ", "-x", "--", "ü#λ"])
+    def test_unusual_ids_round_trip(self, tmp_path, name):
+        data = Dataset(1, (rec(name, conv=name, slot=2, spk=name, vec=(1.0,)),
+                           rec("-", conv="-", spk="a:b", vec=(2.0,)),
+                           rec("a:b", spk=None, vec=(3.0,))))
+        p = tmp_path / "d.csv"
+        write_dataset(data, p)
+        back = read_dataset(p)
+        for col in ("utt_ids", "conv_ids", "slots", "global_spks"):
+            assert getattr(back, col) == getattr(data, col)
+        np.testing.assert_array_equal(back.vectors(), data.vectors())
 
     def test_short_row_reports_line(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -384,3 +428,249 @@ class TestChunkedWriter:
         write_dataset(data, path)
         assert path.read_bytes() == want.read_bytes()
         assert len(forks) == workers
+
+
+# corpus text for the reader tests: ids from a small alphabet with spaces,
+# '#', '-' and non-ASCII, components in several spellings float() accepts
+ID = st.text(alphabet=" ab-#ü", min_size=1, max_size=4)
+COMPONENT = st.one_of(
+    st.sampled_from(SPECIAL).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from([" 1.5", "+2", "1E3", "1_000", "-0", ".5", "7."]),
+)
+
+
+@st.composite
+def corpus_rows(draw, min_rows=0):
+    """(dim, rows): each row a list of its field strings, utt_ids distinct."""
+    dim = draw(st.integers(1, 4))
+    n = draw(st.integers(min_rows, 24))
+    rows = []
+    for i in range(n):
+        spk = draw(st.one_of(st.just("-"), ID))
+        rows.append([f"{draw(ID)}{i}", draw(ID), str(draw(st.integers(0, 9))), spk,
+                     *draw(st.lists(COMPONENT, min_size=dim, max_size=dim))])
+    return dim, rows
+
+
+def corpus_text(dim, rows, blanks):
+    """The file text, with a blank or blank-looking line before row i
+    wherever blanks[i] is not None."""
+    out = [f"#dim={dim}"]
+    for row, blank in zip(rows, blanks):
+        if blank is not None:
+            out.append(blank)
+        out.append(",".join(row))
+    return "\n".join(out) + "\n"
+
+
+def read_both(text, chunk, cores):
+    """(read_dataset's result or ParseError, the oracle's), for one file
+    read with ``chunk`` values per chunk over ``cores`` usable cores."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.csv"
+        path.write_text(text, encoding="utf-8")
+        got = []
+        for read in (read_dataset, read_dataset_rows):
+            with mock.patch.object(data_model, "_CHUNK", chunk), \
+                    mock.patch.object(data_model, "_usable_cores", lambda: cores):
+                try:
+                    got.append(read(path))
+                except ParseError as e:
+                    got.append(e)
+    return got
+
+
+def assert_same_dataset(got, want):
+    assert got.dim == want.dim
+    assert got.utt_ids == tuple(r.utt_id for r in want.records)
+    assert got.conv_ids == tuple(r.conv_id for r in want.records)
+    assert got.slots == tuple(r.slot for r in want.records)
+    assert got.global_spks == tuple(r.global_spk for r in want.records)
+    assert got.vectors().shape == (len(want), want.dim)
+    # bit-equal, so -0.0 and 0.0 differ
+    assert got.vectors().tobytes() == want.vectors().tobytes()
+
+
+CHUNKS = st.sampled_from([1, 3, 8, 1 << 16])
+CORES = st.sampled_from([1, 2, 3])
+BLANKS = st.lists(st.one_of(st.none(), st.sampled_from(["", " ", "\t"])),
+                  min_size=24, max_size=24)
+
+FAULTS = ("field count", "duplicate utt_id", "non-integer slot", "negative slot",
+          "non-numeric value", "non-finite value", "':' in conv_id", "empty id")
+
+
+def with_fault(kind, k, rows, draw):
+    """Row k's fields with one fault of the given kind."""
+    utt, conv, slot, spk, *comps = rows[k]
+    if kind == "field count":
+        comps = comps[:-1] if draw(st.booleans()) else comps + ["1.0"]
+    elif kind == "duplicate utt_id":
+        utt = rows[draw(st.integers(0, k - 1))][0]
+    elif kind == "non-integer slot":
+        slot = draw(st.sampled_from(["x", "1.5", "", "1e3"]))
+    elif kind == "negative slot":
+        slot = "-3"
+    elif kind == "non-numeric value":
+        comps[-1] = draw(st.sampled_from(["zzz", "", "1.2.3", "0x1"]))
+    elif kind == "non-finite value":
+        comps[0] = draw(st.sampled_from(["nan", "inf", "-inf", "1e999"]))
+    elif kind == "':' in conv_id":
+        conv += ":"
+    else:
+        field = draw(st.sampled_from(["utt", "conv", "spk"]))
+        utt, conv, spk = ("" if f == field else v
+                          for f, v in (("utt", utt), ("conv", conv), ("spk", spk)))
+    return [utt, conv, slot, spk, *comps]
+
+
+class TestReaderMatchesRowAtATime:
+    """read_dataset against the row-at-a-time oracle in _helpers, over one
+    and several chunks and 1 to 3 usable cores."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(corpus_rows(), BLANKS, CHUNKS, CORES)
+    def test_valid_corpus(self, corpus, blanks, chunk, cores):
+        dim, rows = corpus
+        got, want = read_both(corpus_text(dim, rows, blanks), chunk, cores)
+        assert_same_dataset(got, want)
+
+    @pytest.mark.parametrize("kind", FAULTS)
+    @settings(deadline=None, max_examples=25)
+    @given(data=st.data())
+    def test_one_fault_raises_the_same_error(self, kind, data):
+        dim, rows = data.draw(corpus_rows(min_rows=2))
+        blanks = data.draw(BLANKS)
+        k = data.draw(st.integers(1 if kind == "duplicate utt_id" else 0, len(rows) - 1))
+        rows[k] = with_fault(kind, k, rows, data.draw)
+        got, want = read_both(corpus_text(dim, rows, blanks), data.draw(CHUNKS),
+                              data.draw(CORES))
+        assert isinstance(want, ParseError)
+        line = 2 + k + sum(b is not None for b in blanks[:k + 1])
+        assert f": line {line}: " in str(want)
+        assert isinstance(got, ParseError) and str(got) == str(want)
+
+
+def reader_file(tmp_path, n, faults=None):
+    """A dim-2 corpus of n rows; faults maps a row to its text."""
+    lines = [f"u{i},c{i // 2},{i % 2},{'-' if i % 3 == 0 else f's{i}'},{i / 7!r},{-i}"
+             for i in range(n)]
+    for i, text in (faults or {}).items():
+        lines[i] = text
+    path = tmp_path / "c.csv"
+    path.write_text("#dim=2\n" + "".join(line + "\n" for line in lines))
+    return path
+
+
+class TestChunkedReader:
+    """read_dataset's forked parse with one dim-2 row per chunk; the tests'
+    leak guard checks that no worker outlives a read."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        monkeypatch.setattr(data_model, "_CHUNK", 2)
+        return count_forks(monkeypatch)
+
+    @pytest.mark.parametrize("n, cores, workers", [
+        (0, 2, 0),    # header only
+        (1, 2, 0),    # one chunk never forks
+        (2, 2, 1),    # two chunks
+        (7, 2, 1),    # seven chunks: runs of 3 and 4
+        (7, 3, 2),    # runs of 2, 2 and 3, whatever the host's core count
+        (7, 1, 0),    # one usable core
+    ])
+    def test_values_equal_row_at_a_time(self, tmp_path, monkeypatch, forks, n, cores,
+                                        workers):
+        monkeypatch.setattr(data_model, "_usable_cores", lambda: cores)
+        path = reader_file(tmp_path, n)
+        assert_same_dataset(read_dataset(path), read_dataset_rows(path))
+        assert len(forks) == workers
+
+    def test_run_is_parsed_here_when_fork_fails(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data_model, "_CHUNK", 2)
+        monkeypatch.setattr(data_model, "_usable_cores", lambda: 3)
+
+        def no_fork():
+            raise OSError("no more processes")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        path = reader_file(tmp_path, 7)
+        assert_same_dataset(read_dataset(path), read_dataset_rows(path))
+
+    def test_run_of_a_failed_worker_is_parsed_here(self, tmp_path, monkeypatch, forks):
+        monkeypatch.setattr(data_model, "_usable_cores", lambda: 3)
+        parent = os.getpid()
+
+        def worker_fails(text):
+            if os.getpid() != parent:
+                raise RuntimeError("worker failed")
+            return float(text)
+
+        monkeypatch.setattr(data_model, "float", worker_fails, raising=False)
+        path = reader_file(tmp_path, 7)
+        assert_same_dataset(read_dataset(path), read_dataset_rows(path))
+        assert len(forks) == 2
+
+    # faults by row; rows 4-6 are the worker's run, rows 0-3 this process's.
+    # The rows before a fault found when the ids are split off are parsed,
+    # one chunk each, so a fault in row 1 leaves one chunk and no worker
+    @pytest.mark.parametrize("faults, workers", [
+        ({6: "u6,c3,0,s6,zzz,1"}, 1),            # non-numeric
+        ({5: "u5,c2,1,s5,1.0,inf"}, 1),          # non-finite
+        ({6: "u6,c3,0,s6,1.0,2.0,3.0"}, 1),      # field count
+        ({5: "u5,c2,x,s5,1.0,2.0"}, 1),          # bad slot
+        ({4: "u4,c2,0,s4,1.0,nan", 6: "u6,c3,0,s6,1.0"}, 1),
+        ({5: "u5,c2,1,s5,zzz,1.0", 6: "u6,c3,x,s6,1.0,2.0"}, 1),
+        ({2: "u2,c1,0,s2,1.0,zzz", 5: "u5,c2,1,s5,1.0,zzz"}, 1),
+        ({1: "u1,c0,-1,s1,1.0,2.0", 3: "u3,c1,1,s3,zzz,2.0"}, 0),
+        ({3: "u3,c1,-1,s3,zzz,1.0"}, 1),         # non-numeric before the slot's sign
+        ({3: "u3,c1,-1,s3,inf,1.0"}, 1),         # the slot's sign before non-finite
+    ])
+    def test_fault_raises_the_serial_error(self, tmp_path, monkeypatch, forks, faults,
+                                           workers):
+        monkeypatch.setattr(data_model, "_usable_cores", lambda: 2)
+        path = reader_file(tmp_path, 7, faults)
+        with pytest.raises(ParseError) as want:
+            read_dataset_rows(path)
+        assert f": line {2 + min(faults)}: " in str(want.value)
+        with pytest.raises(ParseError) as got:
+            read_dataset(path)
+        assert str(got.value) == str(want.value)
+        assert len(forks) == workers
+
+
+def test_train_builds_no_record(tmp_path, monkeypatch):
+    """The train command works on columns: no UtteranceRecord is built and
+    no record view is asked for, on a corpus read over several chunks."""
+    path = tmp_path / "c.csv"
+    write_dataset(corpus(seed=4, dim=4, q=2, nconv=30, slots=2, utts=2), path)
+    monkeypatch.setattr(data_model, "_CHUNK", 64)  # 16 rows a chunk, 8 chunks
+    monkeypatch.setattr(data_model, "_usable_cores", lambda: 2)
+    forks = count_forks(monkeypatch)
+    built, viewed = [], []
+    post_init, records = UtteranceRecord.__post_init__, Dataset.records
+
+    def counting_post_init(self):
+        built.append(1)
+        post_init(self)
+
+    def counting_records(self):
+        viewed.append(1)
+        return records.fget(self)
+
+    monkeypatch.setattr(UtteranceRecord, "__post_init__", counting_post_init)
+    monkeypatch.setattr(Dataset, "records", property(counting_records))
+    for labels in ("local", "global"):
+        assert cli.main(["train", "--data", str(path), "--labels", labels, "--seed", "0",
+                         "--model", str(tmp_path / f"{labels}.plda")]) == 0
+    assert built == [] and viewed == []
+    assert len(forks) == 2  # one worker per read
+
+
+def test_src_has_one_fork_call_site():
+    src = Path(data_model.__file__).parent
+    sites = [(p.name, node.lineno) for p in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and ast.unparse(node.func) == "os.fork"]
+    assert len(sites) == 1, sites
