@@ -230,10 +230,14 @@ def preprocess_split(pp, enroll: dict, test: Dataset):
 
 def _train_and_score(train_data, view, cfg: StrategyConfig, eval_enroll, eval_test,
                      trials: TrialSet) -> np.ndarray:
-    """Fit the preprocessor on train_data, train PLDA under the label view
-    and score the trials of the enroll/test split; a view of None scores
-    cosines instead of training."""
-    pp = preprocess.fit(train_data.vectors(), whiten=cfg.whiten)
+    """Fit the preprocessor on the rows of train_data that the label view
+    covers, train PLDA under the view and score the trials of the
+    enroll/test split; a view of None fits on every row and scores cosines
+    instead of training."""
+    covered = train_data if view is None else train_data.subset(
+        u for members in view.classes.values() for u in members)
+    pp = preprocess.fit(covered.vectors(), whiten=cfg.whiten)
+    del covered  # a copy of the rows; not held while training
     model = (None if view is None
              else train_em(train_data, view, pp, cfg.train_config())[0])
     enroll_vecs, test_vecs = preprocess_split(pp, eval_enroll, eval_test)
@@ -311,7 +315,11 @@ def run_sweep(spec: SweepSpec, global_data, local_data, eval_enroll, eval_test,
     l_view = build_local_view(local_data) if local_data is not None else None
     g_classes = sorted(g_view.classes) if g_view else []
     l_classes = sorted(l_view.classes) if l_view else []
-    sides = ((global_data, g_view, g_classes), (local_data, l_view, l_classes))
+    sides = ((g_view, g_classes), (l_view, l_classes))
+    # every cell trains on the rows its view selects from this one dataset
+    pool = (merge_datasets(global_data, local_data)
+            if global_data is not None and local_data is not None
+            else global_data if global_data is not None else local_data)
 
     key_source = dict(zip(eval_test.utt_ids, eval_test.global_spks))
     trials = generate_trials(sorted(eval_enroll), eval_test, key_source)
@@ -332,14 +340,10 @@ def run_sweep(spec: SweepSpec, global_data, local_data, eval_enroll, eval_test,
             for rep in range(spec.repeats):
                 seed = spec.base_seed + rep
                 rng = np.random.default_rng([seed, g, l])
-                parts = [_draw_classes(rng, n, *side)
+                views = [_draw_classes(rng, n, *side)
                          for n, side in zip((g, l), sides) if n > 0]
-                if len(parts) == 2:
-                    train_data = merge_datasets(parts[0][0], parts[1][0])
-                    view = build_pooled_view(parts[0][1], parts[1][1])
-                else:
-                    train_data, view = parts[0]
-                scores = _train_and_score(train_data, view, replace(cfg, seed=seed),
+                view = build_pooled_view(*views) if len(views) == 2 else views[0]
+                scores = _train_and_score(pool, view, replace(cfg, seed=seed),
                                           eval_enroll, eval_test, trials)
                 eer, _ = compute_eer(scores[trials.target], scores[~trials.target])
                 eers.append(eer)
@@ -353,12 +357,11 @@ def run_sweep(spec: SweepSpec, global_data, local_data, eval_enroll, eval_test,
     )
 
 
-def _draw_classes(rng, n, data, view, names):
-    """n of the view's classes, drawn without replacement from its sorted
-    class ``names``: their records and their sub-view."""
+def _draw_classes(rng, n, view, names):
+    """The sub-view of n of the view's classes, drawn without replacement
+    from its sorted class ``names``."""
     chosen = [names[i] for i in rng.choice(len(names), size=n, replace=False)]
-    sub = LabelView(view.strategy, {c: view.classes[c] for c in chosen})
-    return data.subset([u for c in chosen for u in sub.classes[c]]), sub
+    return LabelView(view.strategy, {c: view.classes[c] for c in chosen})
 
 
 def _id_columns(trials: TrialSet):

@@ -442,13 +442,14 @@ COMPONENT = st.one_of(
 
 @st.composite
 def corpus_rows(draw, min_rows=0):
-    """(dim, rows): each row a list of its field strings, utt_ids distinct."""
+    """(dim, rows): each row a list of its field strings; the '.' before the
+    row number, which ID never draws, keeps utt_ids distinct."""
     dim = draw(st.integers(1, 4))
     n = draw(st.integers(min_rows, 24))
     rows = []
     for i in range(n):
         spk = draw(st.one_of(st.just("-"), ID))
-        rows.append([f"{draw(ID)}{i}", draw(ID), str(draw(st.integers(0, 9))), spk,
+        rows.append([f"{draw(ID)}.{i}", draw(ID), str(draw(st.integers(0, 9))), spk,
                      *draw(st.lists(COMPONENT, min_size=dim, max_size=dim))])
     return dim, rows
 
@@ -534,6 +535,7 @@ class TestReaderMatchesRowAtATime:
     def test_valid_corpus(self, corpus, blanks, chunk, cores):
         dim, rows = corpus
         got, want = read_both(corpus_text(dim, rows, blanks), chunk, cores)
+        assert not isinstance(want, ParseError), want
         assert_same_dataset(got, want)
 
     @pytest.mark.parametrize("kind", FAULTS)
