@@ -471,7 +471,7 @@ def read_dataset(path) -> Dataset:
         try:
             utt, conv, slot, spk, _ = line.split(",", 4)
             slot = int(slot)
-        except ValueError:
+        except ValueError:  # too few fields or a bad slot, which _check_line names
             ok = False
         else:
             spk = None if spk == MISSING else spk
@@ -482,7 +482,7 @@ def read_dataset(path) -> Dataset:
                 _check_line(line, dim, seen)
             except DataError as e:
                 fault = ParseError(f"{path}: line {w + 1}: {e}")
-            break
+                break
         seen.add(utt)
         utt_ids.append(utt)
         conv_ids.append(conv)

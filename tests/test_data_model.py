@@ -614,9 +614,10 @@ class TestChunkedReader:
         assert_same_dataset(read_dataset(path), read_dataset_rows(path))
         assert len(forks) == 2
 
-    # faults by row; rows 4-6 are the worker's run, rows 0-3 this process's.
-    # The rows before a fault found when the ids are split off are parsed,
-    # one chunk each, so a fault in row 1 leaves one chunk and no worker
+    # faults by row; with all seven rows parsed, rows 0-2 are this process's
+    # run and rows 3-6 the worker's. Only the rows before a fault found when
+    # the ids are split off are parsed, one chunk each, so a fault in row 1
+    # leaves one chunk and no worker
     @pytest.mark.parametrize("faults, workers", [
         ({6: "u6,c3,0,s6,zzz,1"}, 1),            # non-numeric
         ({5: "u5,c2,1,s5,1.0,inf"}, 1),          # non-finite
