@@ -4,7 +4,8 @@ The expected text and sha256 digests were taken from files that the original
 row-at-a-time writers produced from the same seeded inputs, so any change to
 the bytes these writers emit fails here. The large case has more trials than
 one write chunk, in a shuffled (not model-major) order; the corpus case spans
-several chunks of 2^16 formatted values.
+several chunks of 2^16 formatted values. The repeated-DET case holds runs of
+one repeated rate, one of them longer than a write chunk.
 """
 import hashlib
 
@@ -31,6 +32,7 @@ SCORES_SHA = "d68ff66e021f8773629f23c0a8e3f77d453126950fe26142c8090230e0cd11fb"
 KEY_SHA = "983decefa2aad776424a494e213b049282894cc3e0e8a56fea2934ee10d96d58"
 REPORT_SHA = "124720586afafbfaaa8811960ddc0b2e277234877125827c8afcf6665a759a65"
 CORPUS_SHA = "7aa26ccbbba69dfc1c618fb9326be8e27f0a55f28adac603a77f257f52c7eb4e"
+REPEATED_DET_SHA = "e3ff25bec0847d7035a551c6f16731f2177ca3e224340fad025e30bf7a4e5fe1"
 
 
 def small_trials():
@@ -51,6 +53,25 @@ def large_case():
     scores[:len(SPECIAL)] = SPECIAL
     trials = TrialSet(model_ids, test_ids, codes // T, codes % T, target)
     return trials, scores
+
+
+def repeated_det_case():
+    """~160k trials whose DET rows repeat one rate in long runs: in score
+    order the trials come in blocks of targets or of nontargets, one block
+    of 80,000, and a tenth of the scores tie with the one before, so some
+    DET steps move both rates at once."""
+    rng = np.random.default_rng(20161018)
+    blocks = np.concatenate([[80000], rng.geometric(1 / 1500, size=50)])
+    target = np.repeat(np.arange(len(blocks)) % 2 == 1, blocks)
+    n = len(target)
+    scores = np.arange(n) * 0.25 - 1000.0
+    ties = np.flatnonzero(rng.random(n) < 0.1)
+    scores[ties[ties > 0]] = scores[ties[ties > 0] - 1]
+    scores = np.maximum.accumulate(scores)
+    order = rng.permutation(n)
+    trials = TrialSet(["spk"], [f"u{i}" for i in range(n)],
+                      np.zeros(n, dtype=np.int64), order, target[order])
+    return trials, scores[order]
 
 
 def corpus_case():
@@ -128,6 +149,11 @@ class TestLargeFiles:
         path = tmp_path / "r.csv"
         write_report(eval_report(*large_case()), path)
         assert sha(path) == REPORT_SHA
+
+    def test_eval_report_with_repeated_det_values(self, tmp_path):
+        path = tmp_path / "r.csv"
+        write_report(eval_report(*repeated_det_case()), path)
+        assert sha(path) == REPEATED_DET_SHA
 
     def test_sweep_report(self, tmp_path):
         grid = SweepGrid(axis_global=(0, 20), axis_local=(200, 2000), repeats=2, cells={
