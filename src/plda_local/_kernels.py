@@ -44,7 +44,9 @@ def estep_stats(A, counts, F):
 def score_trials(alpha, U, cidx, AT, beta, pm, pt):
     """Builds the model x test score block a chunk of models at a time (one
     GEMM each) and reads every trial's score from its model's chunk, so a
-    sparse key over many models and tests never needs the whole block."""
+    sparse key over many models and tests never needs the whole block. A
+    chunk whose trials leave some tests untouched computes only the columns
+    of the tests they touch."""
     out = np.empty(len(pm))
     if not len(pm):
         return out
@@ -58,8 +60,18 @@ def score_trials(alpha, U, cidx, AT, beta, pm, pt):
         sel = order[starts[a]:starts[b]]
         if not len(sel):
             continue
-        block = beta[cidx[a:b]]
-        block += alpha[a:b, None]
-        block += U[a:b] @ AT.T
-        out[sel] = block[pm[sel] - a, pt[sel]]
+        rows, cols = pm[sel] - a, pt[sel]
+        touched = np.zeros(n_tests, dtype=bool)
+        touched[cols] = True
+        if touched.all():
+            block = beta[cidx[a:b]]
+            block += alpha[a:b, None]
+            block += U[a:b] @ AT.T
+        else:
+            tests = np.flatnonzero(touched)
+            block = beta[cidx[a:b, None], tests]
+            block += alpha[a:b, None]
+            block += U[a:b] @ AT[tests].T
+            cols = np.searchsorted(tests, cols)
+        out[sel] = block[rows, cols]
     return out

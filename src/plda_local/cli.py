@@ -184,8 +184,7 @@ def _cmd_eval(ns) -> int:
     model, pp = plda.load_model(ns.model)
     enroll_vecs, test_vecs = eval_harness.preprocess_split(
         pp, group_by_speaker(read_dataset(ns.enroll)), read_dataset(ns.test))
-    pairs, key = eval_harness.read_key(ns.key)
-    trials = eval_harness.TrialSet.from_pairs(pairs, key)
+    trials = eval_harness.read_key(ns.key)
     scores = plda.score_trialset(model, enroll_vecs, trials, test_vecs)
     # everything that can reject the data runs before the first output
     report = eval_harness.eval_report(scores, trials.target)

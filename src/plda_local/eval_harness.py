@@ -8,6 +8,7 @@ differences are purely training-side.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import chain, count, repeat
 
 import numpy as np
 
@@ -50,9 +51,12 @@ class TrialSet:
             if len(idx) and not (0 <= idx.min() and idx.max() < len(ids)):
                 raise EvalError("trial index out of range")
         codes = self.model_idx * len(self.test_utt_ids) + self.test_idx
-        codes.sort()
-        if np.any(codes[1:] == codes[:-1]):
-            raise EvalError("duplicate trial pairs")
+        # ordered trials (a model-major cross product) are distinct as they
+        # stand; any other order is sorted to bring repeats together
+        if not np.all(codes[1:] > codes[:-1]):
+            codes.sort()
+            if np.any(codes[1:] == codes[:-1]):
+                raise EvalError("duplicate trial pairs")
 
     def __len__(self):
         return len(self.model_idx)
@@ -70,24 +74,16 @@ class TrialSet:
                    map(self.test_utt_ids.__getitem__, self.test_idx.tolist()))
 
     @classmethod
-    def from_pairs(cls, trials, key) -> "TrialSet":
-        """Build from an explicit trial list and a (model, utt) -> bool key."""
-        model_ids, test_ids = [], []
-        mpos, tpos = {}, {}
-        mi, ti, tg = [], [], []
-        for m, t in trials:
-            if m not in mpos:
-                mpos[m] = len(model_ids)
-                model_ids.append(m)
-            if t not in tpos:
-                tpos[t] = len(test_ids)
-                test_ids.append(t)
-            if (m, t) not in key:
-                raise EvalError(f"trial ({m}, {t}) has no key entry")
-            mi.append(mpos[m])
-            ti.append(tpos[t])
-            tg.append(bool(key[(m, t)]))
-        return cls(model_ids, test_ids, mi, ti, tg)
+    def from_pairs(cls, model_ids, test_ids, target) -> "TrialSet":
+        """Build from parallel columns: trial i pairs model_ids[i] with
+        test_ids[i] and is a target trial where target[i] is true. Ids are
+        numbered in order of first appearance."""
+        mpos = dict(zip(dict.fromkeys(model_ids), count()))
+        tpos = dict(zip(dict.fromkeys(test_ids), count()))
+        return cls(mpos, tpos,
+                   np.fromiter(map(mpos.__getitem__, model_ids), np.int64, len(model_ids)),
+                   np.fromiter(map(tpos.__getitem__, test_ids), np.int64, len(test_ids)),
+                   target)
 
 
 def generate_trials(enroll_ids, test: Dataset, key_source: dict) -> TrialSet:
@@ -394,23 +390,63 @@ def write_key(trials: TrialSet, path) -> None:
             for m, t, y in zip(mi[a:b].tolist(), ti[a:b].tolist(), tg[a:b].tolist())))
 
 
-def read_key(path):
-    """Key file rows model_id,test_utt_id,target|nontarget; header optional."""
-    pairs = []
-    key = {}
+_LABELS = ("target", "nontarget")
+# every byte but the two separators; "," and "\n" are one byte in UTF-8
+_NOT_SEPARATOR = bytes(c for c in range(256) if c not in b",\n")
+
+
+def _one_row_per_line(rows: str) -> bool:
+    """Every line of ``rows`` holds exactly two commas, so three fields."""
+    seps = rows.encode().translate(None, _NOT_SEPARATOR)
+    return seps == b",,\n" * rows.count("\n") + b",,"
+
+
+def read_key(path) -> TrialSet:
+    """The TrialSet of a key file: rows model_id,test_utt_id,target|nontarget.
+
+    A first line whose last field is not a label is a header, and blank
+    lines are skipped. The rows are checked and split as columns; a faulty
+    file is then scanned row by row for the error naming its first faulty
+    line, and repeated pairs are refused by TrialSet.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split(",")
-            if lineno == 1 and parts[-1] not in ("target", "nontarget"):
-                continue  # header
-            if len(parts) != 3 or parts[2] not in ("target", "nontarget"):
-                raise EvalError(f"{path}: line {lineno}: malformed key row")
-            pairs.append((parts[0], parts[1]))
-            key[(parts[0], parts[1])] = parts[2] == "target"
-    return pairs, key
+        text = fh.read()
+    first, _, rest = text.partition("\n")
+    rows = rest if first.split(",")[-1] not in _LABELS else text  # a header, or blank
+    rows = rows.removesuffix("\n")
+    if rows and not _one_row_per_line(rows):
+        rows = "\n".join(filter(str.strip, rows.split("\n")))  # drop blank lines
+        if rows and not _one_row_per_line(rows):
+            _raise_first_faulty_row(path, text)
+    fields = rows.replace("\n", ",").split(",") if rows else []
+    labels = fields[2::3]
+    if labels.count("target") + labels.count("nontarget") != len(labels):
+        _raise_first_faulty_row(path, text)
+    target = np.fromiter(map(_LABELS[0].__eq__, labels), bool, len(labels))
+    return TrialSet.from_pairs(fields[0::3], fields[1::3], target)
+
+
+def _raise_first_faulty_row(path, text):
+    """Raise the error of the first faulty row of a key file's text."""
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if lineno == 1 and parts[-1] not in _LABELS:
+            continue  # header
+        if len(parts) != 3 or parts[2] not in _LABELS:
+            raise EvalError(f"{path}: line {lineno}: malformed key row")
+    raise AssertionError("a key file with no faulty row was scanned")
+
+
+def _runs(values):
+    """repr of each of ``values``, formatting each run of equal values once
+    (equal bits, so 0.0 and -0.0 stay apart)."""
+    bits = values.view(np.int64)
+    starts = np.flatnonzero(np.concatenate([[True], bits[1:] != bits[:-1]]))
+    lengths = np.diff(starts, append=len(values))
+    return chain.from_iterable(map(repeat, map(repr, values[starts].tolist()),
+                                   lengths.tolist()))
 
 
 def write_report(obj, path) -> None:
@@ -424,8 +460,9 @@ def write_report(obj, path) -> None:
             fh.write(f"n_nontarget,{obj.n_nontarget}\n")
             fh.write("det_far,det_miss\n")
             det = np.asarray(obj.det_points, dtype=np.float64)
-            _write_chunked(fh, len(det), lambda a, b: (
-                f"{far!r},{miss!r}\n" for far, miss in det[a:b].tolist()))
+            # a DET step moves one rate, so each column repeats in runs
+            _write_chunked(fh, len(det), lambda a, b: chain.from_iterable(zip(
+                _runs(det[a:b, 0]), repeat(","), _runs(det[a:b, 1]), repeat("\n"))))
         elif isinstance(obj, SweepGrid):
             fh.write("n_global,n_local,seed,eer\n")
             for g in obj.axis_global:

@@ -13,6 +13,7 @@ from plda_local.data_model import (
     ParseError,
     UtteranceRecord,
 )
+from plda_local.eval_harness import EvalError
 from plda_local.plda import PldaModel
 from plda_local.synth import SynthConfig, sample_conversations, sample_truth
 
@@ -103,6 +104,43 @@ def read_dataset_rows(path):
         except DataError as e:
             raise ParseError(f"{path}: line {lineno}: {e}") from None
     return Dataset(dim, tuple(records))
+
+
+def read_key_rows(path):
+    """A key file read one row at a time, the reference for ``read_key``:
+    (model ids, test ids, model index, test index, target) with ids
+    numbered in order of first appearance, or the EvalError it raises."""
+    labels = ("target", "nontarget")
+    pairs = []
+    key = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line.strip():
+                continue
+            parts = line.split(",")
+            if lineno == 1 and parts[-1] not in labels:
+                continue  # header
+            if len(parts) != 3 or parts[2] not in labels:
+                raise EvalError(f"{path}: line {lineno}: malformed key row")
+            pairs.append((parts[0], parts[1]))
+            key[(parts[0], parts[1])] = parts[2] == "target"
+    if len(set(pairs)) != len(pairs):
+        raise EvalError("duplicate trial pairs")
+    model_ids, test_ids = [], []
+    mpos, tpos = {}, {}
+    mi, ti, tg = [], [], []
+    for m, t in pairs:
+        if m not in mpos:
+            mpos[m] = len(model_ids)
+            model_ids.append(m)
+        if t not in tpos:
+            tpos[t] = len(test_ids)
+            test_ids.append(t)
+        mi.append(mpos[m])
+        ti.append(tpos[t])
+        tg.append(key[(m, t)])
+    return model_ids, test_ids, mi, ti, tg
 
 
 def member_count(view):

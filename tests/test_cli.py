@@ -261,7 +261,8 @@ class TestEval:
         lines = report_path.read_text().splitlines()
         reported = float(dict(l.split(",") for l in lines[1:5])["eer"])
 
-        _, key = read_key(key_path)
+        trials = read_key(key_path)
+        key = dict(zip(trials.iter_trials(), trials.target.tolist()))
         rows = read_scores(scores_path)
         ts = [s for m, t, s in rows if key[(m, t)]]
         ns = [s for m, t, s in rows if not key[(m, t)]]

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from plda_local import data_model, eval_harness
@@ -23,7 +23,14 @@ from plda_local.eval_harness import (
 )
 from plda_local.preprocess import fit
 from plda_local.synth import split_eval
-from _helpers import corpus, cosine_score, eer_oracle, read_scores, scaled_truth
+from _helpers import (
+    corpus,
+    cosine_score,
+    eer_oracle,
+    read_key_rows,
+    read_scores,
+    scaled_truth,
+)
 
 
 def tiny_test_set(n=4, dim=3, n_spk=2):
@@ -167,9 +174,9 @@ class TestTrialSet:
         assert len(TrialSet(["m0"], ["t0"], [], [], [])) == 0
         assert len(TrialSet(["m0"], ["t0"], [0], [0], [True])) == 1
 
-    def test_from_pairs_missing_key(self):
-        with pytest.raises(EvalError):
-            TrialSet.from_pairs([("m0", "t0")], {})
+    def test_from_pairs_columns_must_have_one_length(self):
+        with pytest.raises(EvalError, match="inconsistent lengths"):
+            TrialSet.from_pairs(["m0", "m1"], ["t0"], [True, False])
 
     def test_from_pairs_round_trip(self, tmp_path):
         test = tiny_test_set(n=4)
@@ -177,10 +184,86 @@ class TestTrialSet:
         trials = generate_trials(["m0", "m1"], test, key_src)
         path = tmp_path / "key.csv"
         write_key(trials, path)
-        pairs, key = read_key(path)
-        back = TrialSet.from_pairs(pairs, key)
+        back = read_key(path)
         assert list(back.iter_trials()) == list(trials.iter_trials())
         np.testing.assert_array_equal(back.target, trials.target)
+
+
+FAULTY_ROWS = ["m0,t0", "m0,t0,target,x", "m0,t0,maybe", "m0,t0,target ", "target",
+               "m0,t0,Target", ",,", "m0,,t0,target", "m0;t0;target"]
+
+
+@st.composite
+def key_texts(draw):
+    """Key file text: an optional header, rows over a few ids (empty and
+    padded ones too), sometimes a repeated pair with an equal or a
+    conflicting label, blank and whitespace lines, LF, CRLF or CR line
+    ends, and sometimes a faulty row."""
+    ids = st.tuples(st.sampled_from(["m0", "m1", "m2", "", " m0"]),
+                    st.sampled_from(["t0", "t1", "t2", "t3", ""]))
+    pairs = draw(st.lists(ids, unique=True, max_size=10))
+    rows = [f"{m},{t},{draw(st.sampled_from(['target', 'nontarget']))}"
+            for m, t in pairs]
+    if rows and draw(st.booleans()):
+        m, t, _ = draw(st.sampled_from(rows)).split(",")
+        label = draw(st.sampled_from(["target", "nontarget"]))
+        rows.insert(draw(st.integers(0, len(rows))), f"{m},{t},{label}")
+    for _ in range(draw(st.integers(0, 3))):
+        rows.insert(draw(st.integers(0, len(rows))),
+                    draw(st.sampled_from(["", " ", "\t", " \t "])))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(FAULTY_ROWS)))
+    header = draw(st.sampled_from([None, "model_id,test_utt_id,key", "m0,t0", "a,b,c,d"]))
+    lines = ([header] if header is not None else []) + rows
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    if lines and not draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+class TestReadKey:
+    @settings(deadline=None, max_examples=300,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(key_texts())
+    def test_matches_the_row_at_a_time_reader(self, tmp_path, text):
+        path = tmp_path / "key.csv"
+        path.write_bytes(text.encode())
+        try:
+            want = read_key_rows(path)
+        except EvalError as e:
+            with pytest.raises(EvalError) as got:
+                read_key(path)
+            assert str(got.value) == str(e)
+            return
+        trials = read_key(path)
+        assert trials.model_ids == want[0]
+        assert trials.test_utt_ids == want[1]
+        assert trials.model_idx.tolist() == want[2]
+        assert trials.test_idx.tolist() == want[3]
+        assert trials.target.tolist() == want[4]
+
+    def test_well_formed_keys_are_not_scanned_row_by_row(self, tmp_path, monkeypatch):
+        calls = []
+        scan = eval_harness._raise_first_faulty_row
+
+        def counting(*args):
+            calls.append(args)
+            scan(*args)
+
+        monkeypatch.setattr(eval_harness, "_raise_first_faulty_row", counting)
+        rows = [f"m{i % 7},t{i},{'target' if i % 5 == 0 else 'nontarget'}"
+                for i in range(1000)]
+        path = tmp_path / "key.csv"
+        path.write_text("model_id,test_utt_id,key\n" + "\n".join(rows) + "\n")
+        assert len(read_key(path)) == 1000
+        # CRLF line ends, no header, blank and whitespace lines
+        path.write_bytes(("\r\n".join(rows[:500] + ["", " \t"] + rows[500:])).encode())
+        assert len(read_key(path)) == 1000
+        assert calls == []
+        path.write_text("\n".join(rows + ["m0,t0,maybe"]) + "\n")
+        with pytest.raises(EvalError, match="line 1001: malformed key row"):
+            read_key(path)
+        assert len(calls) == 1
 
 
 def _strategy_fixture(seed, vscale=1.0, dim=8, q=2):
@@ -333,6 +416,21 @@ class TestReportFiles:
         det = np.array([[float(x) for x in l.split(",")] for l in lines[det_start:]])
         np.testing.assert_array_equal(det, rep.det_points)
 
+    @settings(deadline=None, max_examples=40,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.tuples(*[st.sampled_from([0.0, -0.0, 0.5, 1 / 3, 1.0, 5e-324])] * 2),
+                    min_size=1, max_size=30))
+    def test_det_rows_match_a_row_at_a_time_writer(self, tmp_path, monkeypatch, det):
+        # runs of equal values, 0.0 beside -0.0, and chunks of two rows,
+        # so runs cross chunk boundaries
+        monkeypatch.setattr(data_model, "_CHUNK", 2)
+        rep = EvalReport(eer=0.25, threshold=0.0, det_points=np.array(det),
+                         n_target=1, n_nontarget=1)
+        path = tmp_path / "rep.csv"
+        write_report(rep, path)
+        det_text = path.read_text().split("det_far,det_miss\n")[1]
+        assert det_text == "".join(f"{far!r},{miss!r}\n" for far, miss in det)
+
     def test_sweep_grid_round_trip(self, tmp_path):
         from plda_local.eval_harness import SweepGrid
         grid = SweepGrid(
@@ -350,8 +448,8 @@ class TestReportFiles:
     def test_scores_round_trip(self, tmp_path):
         path = tmp_path / "s.csv"
         rows = [("m0", "t0", 0.987654321098765), ("m1", "t1", -3.25)]
-        trials = TrialSet.from_pairs([r[:2] for r in rows],
-                                     {r[:2]: False for r in rows})
+        trials = TrialSet.from_pairs([r[0] for r in rows], [r[1] for r in rows],
+                                     [False] * len(rows))
         write_scores(trials, [r[2] for r in rows], path)
         assert read_scores(path) == rows
 

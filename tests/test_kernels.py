@@ -37,8 +37,8 @@ def _sparse_keyed(rng, enroll, tests, share=0.4):
     """A shuffled key over a random share of the model x test pairs."""
     pairs = [(m, t) for m in enroll for t in tests if rng.random() < share]
     pairs = [pairs[i] for i in rng.permutation(len(pairs))]
-    key = {p: bool(rng.random() < 0.3) for p in pairs}
-    return TrialSet.from_pairs(pairs, key)
+    return TrialSet.from_pairs([m for m, _ in pairs], [t for _, t in pairs],
+                               rng.random(len(pairs)) < 0.3)
 
 
 def _assert_matches_oracle(model, enroll, tests, trials):
@@ -47,6 +47,28 @@ def _assert_matches_oracle(model, enroll, tests, trials):
     for (mid, tid), s in zip(trials.iter_trials(), scores):
         assert s == pytest.approx(dense_llr(model, enroll[mid], tests[tid]),
                                   rel=1e-9, abs=1e-9)
+
+
+def _count_score_entries(monkeypatch):
+    """Make _kernels.score_trials record the size of each score block its
+    matrix products compute; returns the list the sizes go to."""
+    sizes = []
+
+    class Counted(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            plain = [x.view(np.ndarray) if isinstance(x, Counted) else x for x in inputs]
+            out = getattr(ufunc, method)(*plain, **kwargs)
+            if ufunc is np.matmul:
+                sizes.append(out.size)
+            return out
+
+    score_trials = _kernels.score_trials
+
+    def counted(alpha, U, cidx, AT, *rest):
+        return score_trials(alpha, U, cidx, AT.view(Counted), *rest)
+
+    monkeypatch.setattr(_kernels, "score_trials", counted)
+    return sizes
 
 
 class TestScoreTrialset:
@@ -125,3 +147,34 @@ class TestScoreTrialset:
         for i in (0, 1234, n - 1):
             assert scores[i] == pytest.approx(
                 dense_llr(model, enroll[f"m{i}"], tests[f"t{i}"]), rel=1e-9, abs=1e-9)
+
+    def test_sparse_key_computes_only_the_tests_it_touches(self, monkeypatch):
+        # the diagonal 4000 x 4000 key: each chunk of models touches as many
+        # tests as it has models, so it computes a square block, not a full row
+        n, d = 4000, 3
+        rng = np.random.default_rng(5)
+        model = random_model(rng, d, 2)
+        enroll = {f"m{i}": rng.normal(size=(1, d)) for i in range(n)}
+        tests = {f"t{i}": rng.normal(size=d) for i in range(n)}
+        trials = TrialSet(list(enroll), list(tests), np.arange(n), np.arange(n),
+                          np.ones(n, dtype=bool))
+        sizes = _count_score_entries(monkeypatch)
+        scores = score_trialset(model, enroll, trials, tests)
+        step = _kernels._BLOCK // n
+        assert sum(sizes) == sum(min(step, n - a) ** 2 for a in range(0, n, step))
+        assert sum(sizes) < n * n / 10
+        for i in (0, 1234, n - 1):
+            assert scores[i] == pytest.approx(
+                dense_llr(model, enroll[f"m{i}"], tests[f"t{i}"]), rel=1e-9, abs=1e-9)
+
+    def test_cross_product_computes_each_score_once(self, monkeypatch):
+        _, model, enroll, tests = _material(6, n_models=7, n_tests=5)
+        test = Dataset(model.dim, tuple(
+            UtteranceRecord(utt_id=t, conv_id="c", slot=0, global_spk="m0", vector=v)
+            for t, v in tests.items()))
+        trials = generate_trials(sorted(enroll), test,
+                                 {r.utt_id: r.global_spk for r in test.records})
+        monkeypatch.setattr(_kernels, "_BLOCK", 10)  # two models per chunk
+        sizes = _count_score_entries(monkeypatch)
+        score_trialset(model, enroll, trials, tests)
+        assert sizes == [10, 10, 10, 5]
