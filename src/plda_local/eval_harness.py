@@ -411,9 +411,10 @@ def read_key(path) -> TrialSet:
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    first, _, rest = text.partition("\n")
-    rows = rest if first.split(",")[-1] not in _LABELS else text  # a header, or blank
-    rows = rows.removesuffix("\n")
+    end = text.find("\n")  # of the first line
+    end = len(text) if end < 0 else end
+    start = end + 1 if text[:end].split(",")[-1] not in _LABELS else 0  # a header, or blank
+    rows = text[start:len(text) - text.endswith("\n")]
     if rows and not _one_row_per_line(rows):
         rows = "\n".join(filter(str.strip, rows.split("\n")))  # drop blank lines
         if rows and not _one_row_per_line(rows):
