@@ -81,7 +81,7 @@ class TestScoreTrialset:
         assert 0 < len(trials) < len(enroll) * len(tests)
         _assert_matches_oracle(model, enroll, tests, trials)
 
-    def test_full_cross_product(self):
+    def test_full_cross_product(self, monkeypatch):
         _, model, enroll, tests = _material(1, n_models=6, n_tests=8)
         test = Dataset(model.dim, tuple(
             UtteranceRecord(utt_id=t, conv_id="c", slot=0, global_spk=f"m{j % 6}",
@@ -91,7 +91,11 @@ class TestScoreTrialset:
         trials = generate_trials(sorted(enroll), test,
                                  {r.utt_id: r.global_spk for r in test.records})
         assert len(trials) == 48
+        # chunks of two models, each scored against every test once
+        monkeypatch.setattr(_kernels, "_BLOCK", 16)
+        sizes = _count_score_entries(monkeypatch)
         _assert_matches_oracle(model, enroll, tests, trials)
+        assert sizes == [16, 16, 16]
 
     def test_q0_model(self):
         rng, model, enroll, tests = _material(2, q=0)
@@ -128,8 +132,10 @@ class TestScoreTrialset:
                           [False] * len(pairs))
         _assert_matches_oracle(model, enroll, tests, trials)
 
-    def test_sparse_key_memory_stays_far_below_the_full_block(self):
-        # a diagonal key over 4000 x 4000: the whole score block would be 128 MB
+    def test_sparse_key_memory_stays_far_below_the_full_block(self, monkeypatch):
+        # a diagonal key over 4000 x 4000: the whole score block would be 128 MB,
+        # and each chunk of models touches as many tests as it has models, so
+        # it computes a square block, not full rows
         n, d = 4000, 3
         rng = np.random.default_rng(5)
         model = random_model(rng, d, 2)
@@ -137,6 +143,7 @@ class TestScoreTrialset:
         tests = {f"t{i}": rng.normal(size=d) for i in range(n)}
         trials = TrialSet(list(enroll), list(tests), np.arange(n), np.arange(n),
                           np.ones(n, dtype=bool))
+        sizes = _count_score_entries(monkeypatch)
         tracemalloc.start()
         try:
             scores = score_trialset(model, enroll, trials, tests)
@@ -144,37 +151,8 @@ class TestScoreTrialset:
         finally:
             tracemalloc.stop()
         assert peak < n * n * 8 / 4
-        for i in (0, 1234, n - 1):
-            assert scores[i] == pytest.approx(
-                dense_llr(model, enroll[f"m{i}"], tests[f"t{i}"]), rel=1e-9, abs=1e-9)
-
-    def test_sparse_key_computes_only_the_tests_it_touches(self, monkeypatch):
-        # the diagonal 4000 x 4000 key: each chunk of models touches as many
-        # tests as it has models, so it computes a square block, not a full row
-        n, d = 4000, 3
-        rng = np.random.default_rng(5)
-        model = random_model(rng, d, 2)
-        enroll = {f"m{i}": rng.normal(size=(1, d)) for i in range(n)}
-        tests = {f"t{i}": rng.normal(size=d) for i in range(n)}
-        trials = TrialSet(list(enroll), list(tests), np.arange(n), np.arange(n),
-                          np.ones(n, dtype=bool))
-        sizes = _count_score_entries(monkeypatch)
-        scores = score_trialset(model, enroll, trials, tests)
         step = _kernels._BLOCK // n
         assert sum(sizes) == sum(min(step, n - a) ** 2 for a in range(0, n, step))
-        assert sum(sizes) < n * n / 10
         for i in (0, 1234, n - 1):
             assert scores[i] == pytest.approx(
                 dense_llr(model, enroll[f"m{i}"], tests[f"t{i}"]), rel=1e-9, abs=1e-9)
-
-    def test_cross_product_computes_each_score_once(self, monkeypatch):
-        _, model, enroll, tests = _material(6, n_models=7, n_tests=5)
-        test = Dataset(model.dim, tuple(
-            UtteranceRecord(utt_id=t, conv_id="c", slot=0, global_spk="m0", vector=v)
-            for t, v in tests.items()))
-        trials = generate_trials(sorted(enroll), test,
-                                 {r.utt_id: r.global_spk for r in test.records})
-        monkeypatch.setattr(_kernels, "_BLOCK", 10)  # two models per chunk
-        sizes = _count_score_entries(monkeypatch)
-        score_trialset(model, enroll, trials, tests)
-        assert sizes == [10, 10, 10, 5]
