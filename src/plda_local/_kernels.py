@@ -45,8 +45,9 @@ def score_trials(alpha, U, cidx, AT, beta, pm, pt):
     """Builds the model x test score block a chunk of models at a time (one
     GEMM each) and reads every trial's score from its model's chunk, so a
     sparse key over many models and tests never needs the whole block. A
-    chunk whose trials leave some tests untouched computes only the columns
-    of the tests they touch."""
+    chunk whose trials touch at most half of the tests computes only their
+    columns; one that touches more computes them all, as a dense run does,
+    since gathering the columns would save little."""
     out = np.empty(len(pm))
     if not len(pm):
         return out
@@ -63,12 +64,12 @@ def score_trials(alpha, U, cidx, AT, beta, pm, pt):
         rows, cols = pm[sel] - a, pt[sel]
         touched = np.zeros(n_tests, dtype=bool)
         touched[cols] = True
-        if touched.all():
+        tests = np.flatnonzero(touched)
+        if 2 * len(tests) > n_tests:
             block = beta[cidx[a:b]]
             block += alpha[a:b, None]
             block += U[a:b] @ AT.T
         else:
-            tests = np.flatnonzero(touched)
             block = beta[cidx[a:b, None], tests]
             block += alpha[a:b, None]
             block += U[a:b] @ AT[tests].T
