@@ -62,10 +62,13 @@ def score_trials(alpha, U, cidx, AT, beta, pm, pt):
         if not len(sel):
             continue
         rows, cols = pm[sel] - a, pt[sel]
-        touched = np.zeros(n_tests, dtype=bool)
-        touched[cols] = True
-        tests = np.flatnonzero(touched)
-        if 2 * len(tests) > n_tests:
+        tests = None
+        if len(sel) < (b - a) * n_tests:  # not every pair of the chunk is a trial
+            touched = np.zeros(n_tests, dtype=bool)
+            touched[cols] = True
+            if 2 * np.count_nonzero(touched) <= n_tests:
+                tests = np.flatnonzero(touched)
+        if tests is None:
             block = beta[cidx[a:b]]
             block += alpha[a:b, None]
             block += U[a:b] @ AT.T
