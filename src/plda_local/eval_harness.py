@@ -109,19 +109,45 @@ def det_curve(target_scores, nontarget_scores):
     """(thresholds, FAR, FRR) staircase over all observed score values.
 
     FAR(t) = fraction of nontarget scores >= t (score at threshold accepts);
-    FRR(t) = fraction of target scores < t. Sentinel thresholds below and
-    above all scores bracket the curve at (1, 0) and (0, 1).
+    FRR(t) = fraction of target scores < t. Sentinel thresholds at the lowest
+    score minus 1.0 and the highest plus 1.0 bracket the curve at (1, 0) and
+    (0, 1). Where |score| >= 2**53 that addition rounds back to the score
+    itself, so a sentinel equals an extreme score: the bottom one still
+    takes (1, 0), and the top one takes the rates of the highest score.
     """
-    ts = np.sort(np.asarray(target_scores, dtype=np.float64))
-    ns = np.sort(np.asarray(nontarget_scores, dtype=np.float64))
+    ts = np.asarray(target_scores, dtype=np.float64)
+    ns = np.asarray(nontarget_scores, dtype=np.float64)
     if len(ts) == 0 or len(ns) == 0:
         raise EvalError("both score lists must be non-empty")
     if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(ns))):
         raise EvalError("non-finite score")
-    uniq = np.unique(np.concatenate([ts, ns]))
-    thresholds = np.concatenate([[uniq[0] - 1.0], uniq, [uniq[-1] + 1.0]])
-    far = 1.0 - np.searchsorted(ns, thresholds, side="left") / len(ns)
-    frr = np.searchsorted(ts, thresholds, side="left") / len(ts)
+    pooled = np.concatenate([ts, ns])
+    pooled.sort()
+    new_run = np.empty(len(pooled), dtype=bool)
+    new_run[0] = True
+    np.not_equal(pooled[1:], pooled[:-1], out=new_run[1:])
+    starts = np.flatnonzero(new_run)  # scores below each run's first value
+    k = len(starts)
+    thresholds = np.empty(k + 2)
+    thresholds[0] = pooled[0] - 1.0
+    thresholds[1:-1] = pooled[starts]
+    thresholds[-1] = pooled[-1] + 1.0
+    # a target lies below every threshold from the run after its own on
+    below = np.bincount(np.searchsorted(pooled, ts, side="right"),
+                        minlength=len(pooled) + 1)
+    t_below = np.cumsum(below, out=below)[starts]
+    n_below = np.subtract(starts, t_below, out=starts)
+    # the rates are written into the outputs in place: at SRE scale the
+    # curve has one point per trial, and each temporary costs page faults
+    far = np.empty(k + 2)
+    frr = np.empty(k + 2)
+    far[0], frr[0] = 1.0, 0.0
+    np.subtract(1.0, np.divide(n_below, len(ns), out=far[1:-1]), out=far[1:-1])
+    np.divide(t_below, len(ts), out=frr[1:-1])
+    if thresholds[-1] > pooled[-1]:
+        far[-1], frr[-1] = 0.0, 1.0
+    else:
+        far[-1], frr[-1] = far[-2], frr[-2]
     return thresholds, far, frr
 
 
@@ -132,7 +158,9 @@ def compute_eer(target_scores, nontarget_scores):
 
 def _eer_crossing(thresholds, far, frr):
     diff = far - frr  # monotone non-increasing, from +1 to -1
-    k = int(np.nonzero(diff >= 0)[0][-1])
+    # the last segment starts at the second-to-last point: a top sentinel
+    # that equals the highest score repeats its rates, so diff[-1] can be 0
+    k = int(np.nonzero(diff[:-1] >= 0)[0][-1])
     denom = diff[k] - diff[k + 1]
     alpha = 0.0 if denom == 0 else diff[k] / denom
     eer = far[k] + alpha * (far[k + 1] - far[k])

@@ -276,6 +276,14 @@ def _floor_spd(S: np.ndarray, d: int) -> np.ndarray:
     floor = 1e-8 * np.trace(S) / d
     if floor <= 0:
         floor = 1e-12
+    # Almost no Sigma clamps, and eigenvalues alone cost a fraction of eigh.
+    # eigvalsh and eigh run different LAPACK drivers, whose smallest
+    # eigenvalues differ by O(d * eps * ||S||). When this test passes, S is
+    # positive definite, so ||S|| <= trace(S) = 1e8 * d * floor and the
+    # difference is about d**2 * 2e-8 * floor: the margin of one floor
+    # covers it for any practical d, and eigh would return S unchanged too.
+    if np.linalg.eigvalsh(S)[0] >= 2 * floor:
+        return S
     evals, evecs = np.linalg.eigh(S)
     if evals[0] >= floor:
         return S

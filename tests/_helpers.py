@@ -185,6 +185,19 @@ def cosine_score(a, b) -> float:
     return float(a @ b / (na * nb))
 
 
+def det_curve_searchsorted(target_scores, nontarget_scores):
+    """(thresholds, FAR, FRR) with each rate counted by a binary search of
+    every distinct score in its sorted side: the reference for
+    ``det_curve``, sentinels included."""
+    ts = np.sort(np.asarray(target_scores, dtype=np.float64))
+    ns = np.sort(np.asarray(nontarget_scores, dtype=np.float64))
+    uniq = np.unique(np.concatenate([ts, ns]))
+    thresholds = np.concatenate([[uniq[0] - 1.0], uniq, [uniq[-1] + 1.0]])
+    far = 1.0 - np.searchsorted(ns, thresholds, side="left") / len(ns)
+    frr = np.searchsorted(ts, thresholds, side="left") / len(ts)
+    return thresholds, far, frr
+
+
 def eer_oracle(target_scores, nontarget_scores):
     """Exhaustive midpoint-threshold sweep with the same interpolation rule.
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from plda_local import data_model, eval_harness
@@ -26,6 +26,7 @@ from plda_local.synth import split_eval
 from _helpers import (
     corpus,
     cosine_score,
+    det_curve_searchsorted,
     eer_oracle,
     read_key_rows,
     read_scores,
@@ -76,6 +77,13 @@ class TestGenerateTrials:
             key = {r.utt_id: r.global_spk for r in test.records}
             trials = generate_trials([f"m{i}" for i in range(1236)], test, key)
             assert len(trials) == expect
+
+
+# few distinct values, so ties across the two sides are common
+DET_SCORES = st.lists(st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0**53, -(2.0**53), 1e17, 1e300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+), min_size=1, max_size=12)
 
 
 class TestComputeEer:
@@ -139,6 +147,30 @@ class TestComputeEer:
             a, _ = compute_eer(ts, ns)
             b, _ = compute_eer(-ns, -ts)
             assert a == pytest.approx(b, abs=1e-12)
+
+    def test_huge_scores_keep_the_last_segment(self):
+        # 2e17 + 1.0 == 2e17, so the top sentinel repeats the last point
+        assert compute_eer([1e17], [2e17]) == (1.0, 2e17)
+        assert compute_eer([1.0], [2.0]) == (1.0, 2.0)
+        thresholds, far, frr = det_curve([1e17], [2e17])
+        assert thresholds.tolist() == [1e17, 1e17, 2e17, 2e17]
+        assert far.tolist() == [1.0, 1.0, 1.0, 1.0]
+        assert frr.tolist() == [0.0, 0.0, 1.0, 1.0]
+
+    @settings(deadline=None, max_examples=200)
+    @given(DET_SCORES, DET_SCORES)
+    @example([0.0], [-0.0])
+    @example([-0.0, 1.0], [0.0, 1.0])
+    @example([1e17], [2e17])
+    @example([2.0**53, -(2.0**53)], [2.0**53 + 2.0])
+    def test_det_curve_matches_searchsorted_oracle(self, ts, ns):
+        # one-element sides, ties across the sides, signed zeros and
+        # magnitudes where a sentinel collapses onto an extreme score
+        thresholds, far, frr = det_curve(ts, ns)
+        o_thresholds, o_far, o_frr = det_curve_searchsorted(ts, ns)
+        assert np.array_equal(thresholds, o_thresholds)
+        assert far.tobytes() == o_far.tobytes()
+        assert frr.tobytes() == o_frr.tobytes()
 
     def test_det_curve_monotone(self):
         rng = np.random.default_rng(4)

@@ -21,6 +21,19 @@ from plda_local.eval_harness import generate_trials
 from _helpers import corpus, dense_llr, random_model
 
 
+def count_eigh(monkeypatch):
+    """Record every np.linalg.eigh call for the rest of the test."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(S):
+        calls.append(S)
+        return eigh(S)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
 class TestModelValidation:
     def test_rejects_asymmetric_sigma(self):
         S = np.array([[1.0, 0.5], [0.0, 1.0]])
@@ -181,14 +194,37 @@ class TestTrainEm:
             return out
 
         monkeypatch.setattr(plda, "_floor_spd", counting)
+        eighs = count_eigh(monkeypatch)
         data = corpus(seed=7, dim=12, q=2, nconv=4, slots=1, utts=2)
         model, lls = train_em(
             data, build_global_view(data), None,
             TrainConfig(latent_dim=2, iterations=10, seed=0, loglik_tol=0.0),
         )
         assert clamped == [True] * 11  # the initial Sigma and 10 M-steps
+        assert len(eighs) == 11
         assert np.all(np.isfinite(lls))
         assert np.all(np.linalg.eigvalsh(model.Sigma) > 0)
+
+    def test_well_conditioned_training_skips_eigh(self, monkeypatch):
+        eighs = count_eigh(monkeypatch)
+        data = corpus(seed=1, dim=6, q=2, nconv=60, slots=1, utts=3)
+        _, lls = train_em(data, build_global_view(data), None,
+                          TrainConfig(latent_dim=2, iterations=20, seed=0))
+        assert len(lls) > 1
+        assert eighs == []
+
+    def test_eigenvalue_within_twice_the_floor_goes_through_eigh(self, monkeypatch):
+        d = 4
+        # lam = 1.5 * floor, where floor = 1e-8 * (3 + lam) / d
+        lam = 1.5e-8 * 3 / (d - 1.5e-8)
+        Q = ortho_group.rvs(d, random_state=0)
+        S = (Q * np.array([lam, 1.0, 1.0, 1.0])) @ Q.T
+        S = 0.5 * (S + S.T)
+        floor = 1e-8 * np.trace(S) / d
+        assert floor <= np.linalg.eigh(S)[0][0] < 2 * floor
+        eighs = count_eigh(monkeypatch)
+        assert plda._floor_spd(S, d) is S
+        assert len(eighs) == 1
 
     @pytest.mark.parametrize("dim,q,utts", [(5, 2, 1), (4, 4, 3)],
                              ids=["singleton_classes", "q_equals_d"])
