@@ -8,8 +8,9 @@ estep_stats(A, counts, F) -> (M, R2, ll_lat)
     R2:     (q, q) sum_i n_i ((I + n_i F)^-1 + m_i m_i')
     ll_lat: scalar sum_i (-1/2 logdet(I + n_i F) + 1/2 a_i . m_i)
 
-score_trials(alpha, U, cidx, AT, beta, pm, pt) -> scores
-    scores[i] = alpha[m] + beta[cidx[m], t] + U[m] . AT[t],  m = pm[i], t = pt[i]
+score_trials(alpha, U, cidx, AT, beta, trials) -> scores
+    scores[i] = alpha[m] + beta[cidx[m], t] + U[m] . AT[t]
+    where trial i of the TrialSet pairs model m with test t
 """
 from __future__ import annotations
 
@@ -41,21 +42,31 @@ def estep_stats(A, counts, F):
     return M, R2, ll_lat
 
 
-def score_trials(alpha, U, cidx, AT, beta, pm, pt):
+def score_trials(alpha, U, cidx, AT, beta, trials):
     """Builds the model x test score block a chunk of models at a time (one
-    GEMM each) and reads every trial's score from its model's chunk, so a
-    sparse key over many models and tests never needs the whole block. A
-    chunk whose trials touch at most half of the tests computes only their
-    columns; one that touches more computes them all, as a dense run does,
+    GEMM each). A product's chunk is written straight into its rows of the
+    output. A keyed set reads every trial's score from its model's chunk,
+    so a sparse key over many models and tests never needs the whole block:
+    a chunk whose trials touch at most half of the tests computes only their
+    columns; one that touches more computes them all, as a product does,
     since gathering the columns would save little."""
-    out = np.empty(len(pm))
-    if not len(pm):
+    out = np.empty(len(trials))
+    if not len(out):
         return out
     n_models, n_tests = len(alpha), AT.shape[0]
+    step = max(1, _BLOCK // n_tests)
+    if trials.is_product:
+        grid = out.reshape(n_models, n_tests)
+        for a in range(0, n_models, step):
+            block = grid[a:a + step]
+            np.take(beta, cidx[a:a + step], axis=0, out=block)
+            block += alpha[a:a + step, None]
+            block += U[a:a + step] @ AT.T
+        return out
+    pm, pt = trials.model_idx, trials.test_idx
     order = np.argsort(pm, kind="stable")
     # order[starts[m]:starts[m + 1]] are the trials of model m
     starts = np.concatenate([[0], np.cumsum(np.bincount(pm, minlength=n_models))])
-    step = max(1, _BLOCK // n_tests)
     for a in range(0, n_models, step):
         b = min(a + step, n_models)
         sel = order[starts[a]:starts[b]]

@@ -34,9 +34,14 @@ class EvalError(Exception):
 class TrialSet:
     """Ordered (model_id, test_utt_id) trials with target/nontarget keys.
 
-    Stored as index arrays into the model and test id lists so that
-    million-trial cross products stay cheap.
+    A keyed set holds index arrays into the model and test id lists. A
+    product (``TrialSet.product``) is every model against every test,
+    model-major, and holds only its target mask: trial i pairs model
+    i // T with test i % T, so a million-trial cross product needs no
+    per-trial index arrays.
     """
+
+    is_product = False
 
     def __init__(self, model_ids, test_utt_ids, model_idx, test_idx, target):
         self.model_ids = list(model_ids)
@@ -58,8 +63,23 @@ class TrialSet:
             if np.any(codes[1:] == codes[:-1]):
                 raise EvalError("duplicate trial pairs")
 
+    @classmethod
+    def product(cls, model_ids, test_utt_ids, target) -> "TrialSet":
+        """Every model against every test, model-major; ``target`` is the
+        (models, tests) mask of target pairs."""
+        self = cls.__new__(cls)
+        self.model_ids = list(model_ids)
+        self.test_utt_ids = list(test_utt_ids)
+        target = np.asarray(target, dtype=bool)
+        if target.shape != (len(self.model_ids), len(self.test_utt_ids)):
+            raise EvalError(f"a {target.shape} target mask for "
+                            f"{len(self.model_ids)} models x {len(self.test_utt_ids)} tests")
+        self.target = target.ravel()
+        self.is_product = True
+        return self
+
     def __len__(self):
-        return len(self.model_idx)
+        return len(self.target)
 
     @property
     def n_target(self) -> int:
@@ -69,9 +89,13 @@ class TrialSet:
     def n_nontarget(self) -> int:
         return len(self) - self.n_target
 
-    def iter_trials(self):
-        return zip(map(self.model_ids.__getitem__, self.model_idx.tolist()),
-                   map(self.test_utt_ids.__getitem__, self.test_idx.tolist()))
+    def indices(self, start, stop):
+        """Model and test indices of trials start..stop-1, as two lists."""
+        if self.is_product:
+            mi, ti = np.divmod(np.arange(start, stop), len(self.test_utt_ids))
+        else:
+            mi, ti = self.model_idx[start:stop], self.test_idx[start:stop]
+        return mi.tolist(), ti.tolist()
 
     @classmethod
     def from_pairs(cls, model_ids, test_ids, target) -> "TrialSet":
@@ -98,11 +122,18 @@ def generate_trials(enroll_ids, test: Dataset, key_source: dict) -> TrialSet:
         if tid not in key_source:
             raise EvalError(f"test utterance {tid!r} has no true-speaker key")
     spk = np.array([key_source[t] for t in test_ids])
-    M, T = len(model_ids), len(test_ids)
-    model_idx = np.repeat(np.arange(M, dtype=np.int64), T)
-    test_idx = np.tile(np.arange(T, dtype=np.int64), M)
-    target = (np.asarray(model_ids)[:, None] == spk[None, :]).ravel()
-    return TrialSet(model_ids, test_ids, model_idx, test_idx, target)
+    return TrialSet.product(model_ids, test_ids,
+                            np.asarray(model_ids)[:, None] == spk[None, :])
+
+
+def _score_sides(target_scores, nontarget_scores):
+    ts = np.asarray(target_scores, dtype=np.float64)
+    ns = np.asarray(nontarget_scores, dtype=np.float64)
+    if len(ts) == 0 or len(ns) == 0:
+        raise EvalError("both score lists must be non-empty")
+    if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(ns))):
+        raise EvalError("non-finite score")
+    return ts, ns
 
 
 def det_curve(target_scores, nontarget_scores):
@@ -115,12 +146,7 @@ def det_curve(target_scores, nontarget_scores):
     itself, so a sentinel equals an extreme score: the bottom one still
     takes (1, 0), and the top one takes the rates of the highest score.
     """
-    ts = np.asarray(target_scores, dtype=np.float64)
-    ns = np.asarray(nontarget_scores, dtype=np.float64)
-    if len(ts) == 0 or len(ns) == 0:
-        raise EvalError("both score lists must be non-empty")
-    if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(ns))):
-        raise EvalError("non-finite score")
+    ts, ns = _score_sides(target_scores, nontarget_scores)
     pooled = np.concatenate([ts, ns])
     pooled.sort()
     new_run = np.empty(len(pooled), dtype=bool)
@@ -152,20 +178,48 @@ def det_curve(target_scores, nontarget_scores):
 
 
 def compute_eer(target_scores, nontarget_scores):
-    """EER and threshold via linear interpolation at the FAR/FRR crossing."""
-    return _eer_crossing(*det_curve(target_scores, nontarget_scores))
+    """EER and threshold via linear interpolation at the FAR/FRR crossing
+    of ``det_curve``'s points, found by bisection without building them."""
+    ts, ns = _score_sides(target_scores, nontarget_scores)
+    pooled = np.concatenate([ts, ns])
+    pooled.sort()
+    ts = np.sort(ts)
+    n = len(pooled)
+
+    def point(i):
+        """det_curve's point at the run of pooled[i], or at its top
+        sentinel for i = n: that one takes the last run's rates when
+        adding 1.0 leaves the highest score as it is."""
+        v = pooled[min(i, n - 1)]
+        if i == n and v + 1.0 > v:
+            return v + 1.0, 0.0, 1.0
+        below = int(np.searchsorted(pooled, v, side="left"))
+        t_below = int(np.searchsorted(ts, v, side="left"))
+        return v, 1.0 - (below - t_below) / len(ns), t_below / len(ts)
+
+    return _crossing(n, point)
 
 
-def _eer_crossing(thresholds, far, frr):
-    diff = far - frr  # monotone non-increasing, from +1 to -1
-    # the last segment starts at the second-to-last point: a top sentinel
-    # that equals the highest score repeats its rates, so diff[-1] can be 0
-    k = int(np.nonzero(diff[:-1] >= 0)[0][-1])
-    denom = diff[k] - diff[k + 1]
-    alpha = 0.0 if denom == 0 else diff[k] / denom
-    eer = far[k] + alpha * (far[k + 1] - far[k])
-    thr = thresholds[k] + alpha * (thresholds[k + 1] - thresholds[k])
-    return float(eer), float(thr)
+def _crossing(n, point):
+    """(eer, threshold) interpolated from the last of points 0..n-1 where
+    FAR - FRR >= 0 to the point after it. point(j) is (threshold, FAR, FRR);
+    FAR - FRR does not rise with j (the rates are rounded monotone
+    functions of counts) and is +1 at point 0, so bisection finds it."""
+    lo, hi = 0, n
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        _, far, frr = point(mid)
+        if far - frr >= 0:
+            lo = mid
+        else:
+            hi = mid
+    (t0, far0, frr0), (t1, far1, frr1) = point(lo), point(lo + 1)
+    # the last segment may end at a top sentinel that equals the highest
+    # score and repeats its rates, so diff1 can be 0 as well
+    diff0, diff1 = far0 - frr0, far1 - frr1
+    denom = diff0 - diff1
+    alpha = 0.0 if denom == 0 else diff0 / denom
+    return float(far0 + alpha * (far1 - far0)), float(t0 + alpha * (t1 - t0))
 
 
 @dataclass(frozen=True)
@@ -181,7 +235,8 @@ def eval_report(scores, target) -> EvalReport:
     """EER, threshold and DET points of per-trial scores under a target mask,
     all read off one DET curve."""
     thresholds, far, frr = det_curve(scores[target], scores[~target])
-    eer, thr = _eer_crossing(thresholds, far, frr)
+    eer, thr = _crossing(len(thresholds) - 1,
+                         lambda j: (thresholds[j], far[j], frr[j]))
     n_target = int(np.count_nonzero(target))
     return EvalReport(
         eer=eer,
@@ -274,8 +329,7 @@ def _train_and_score(train_data, view, cfg: StrategyConfig, eval_enroll, eval_te
     AT = np.stack([test_vecs[t] for t in trials.test_utt_ids])
     M = len(U)
     return _kernels.score_trials(np.zeros(M), U, np.zeros(M, dtype=np.int64), AT,
-                                 np.zeros((1, len(AT))), trials.model_idx,
-                                 trials.test_idx)
+                                 np.zeros((1, len(AT))), trials)
 
 
 def run_strategy(strategy, global_data, local_data, eval_enroll, eval_test,
@@ -400,22 +454,21 @@ def write_scores(trials: TrialSet, scores, path) -> None:
     if scores.shape != (len(trials),):
         raise EvalError(f"{scores.size} scores for {len(trials)} trials")
     mids, tids = _id_columns(trials)
-    mi, ti = trials.model_idx, trials.test_idx
     with _replacing(path) as fh:
         fh.write("model_id,test_utt_id,score\n")
         _write_chunked(fh, len(trials), lambda a, b: (
             f"{mids[m]}{tids[t]}{v!r}\n"
-            for m, t, v in zip(mi[a:b].tolist(), ti[a:b].tolist(), scores[a:b].tolist())))
+            for m, t, v in zip(*trials.indices(a, b), scores[a:b].tolist())))
 
 
 def write_key(trials: TrialSet, path) -> None:
     mids, tids = _id_columns(trials)
-    mi, ti, tg = trials.model_idx, trials.test_idx, trials.target
+    tg = trials.target
     with _replacing(path) as fh:
         fh.write("model_id,test_utt_id,key\n")
         _write_chunked(fh, len(trials), lambda a, b: (
             f"{mids[m]}{tids[t]}{'target' if y else 'nontarget'}\n"
-            for m, t, y in zip(mi[a:b].tolist(), ti[a:b].tolist(), tg[a:b].tolist())))
+            for m, t, y in zip(*trials.indices(a, b), tg[a:b].tolist())))
 
 
 _LABELS = ("target", "nontarget")

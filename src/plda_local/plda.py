@@ -197,8 +197,7 @@ def score_trialset(model: PldaModel, enroll_models: dict, trials,
         U[sel] = E @ Qj.T
         beta[i] = 0.5 * np.einsum("tq,qr,tr->t", AT, Qj - Q1, AT)
 
-    return _kernels.score_trials(alpha, U, cidx, AT, beta,
-                                 trials.model_idx, trials.test_idx)
+    return _kernels.score_trials(alpha, U, cidx, AT, beta, trials)
 
 
 def _collect_classes(data: Dataset, view: LabelView, pp: Preprocessor | None):

@@ -47,6 +47,13 @@ def scaled_truth(seed, dim, q, vscale=1.0):
     return PldaModel(u=t.u, V=t.V * vscale, Sigma=t.Sigma)
 
 
+def trial_pairs(trials):
+    """(model_id, test_utt_id) of every trial of a TrialSet, in trial order."""
+    mi, ti = trials.indices(0, len(trials))
+    return list(zip(map(trials.model_ids.__getitem__, mi),
+                    map(trials.test_utt_ids.__getitem__, ti)))
+
+
 def read_scores(path):
     """(model_id, test_utt_id, score) rows of a scores file, in file order."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -153,6 +160,49 @@ def partition(view):
     return {frozenset(m) for m in view.classes.values()}
 
 
+def _solve_longdouble(A, B):
+    """(A^-1 B, log|det A|) by Gauss-Jordan elimination with partial
+    pivoting, in np.longdouble."""
+    A = np.array(A, dtype=np.longdouble)
+    B = np.array(B, dtype=np.longdouble).reshape(len(A), -1)
+    logdet = np.longdouble(0)
+    for j in range(len(A)):
+        p = j + int(np.argmax(np.abs(A[j:, j])))
+        A[[j, p]], B[[j, p]] = A[[p, j]], B[[p, j]]
+        logdet += np.log(np.abs(A[j, j]))
+        B[j] /= A[j, j]
+        A[j] /= A[j, j]
+        for i in range(len(A)):
+            if i != j:
+                B[i] -= A[i, j] * B[j]
+                A[i] -= A[i, j] * A[j]
+    return B, logdet
+
+
+def llr_longdouble(model, enroll, test):
+    """score_llr's latent-space formula in np.longdouble: with G = V'
+    Sigma^-1, a_e = G sum(e - u), a_t = G (t - u) and P_n = I + n G V,
+    score = 1/2 (j' P_{n+1}^-1 j - a_e' P_n^-1 a_e - a_t' P_1^-1 a_t)
+          - 1/2 (log|P_{n+1}| - log|P_n| - log|P_1|),  j = a_e + a_t."""
+    E = np.atleast_2d(np.asarray(enroll)).astype(np.longdouble)
+    t = np.asarray(test).astype(np.longdouble)
+    u = model.u.astype(np.longdouble)
+    V = model.V.astype(np.longdouble)
+    G = _solve_longdouble(model.Sigma, V)[0].T
+    F = G @ V
+    n = len(E)
+    a_e = G @ (E.sum(axis=0) - n * u)
+    a_t = G @ (t - u)
+    eye = np.eye(len(F), dtype=np.longdouble)
+    quad, logdets = [], []
+    for k, a in ((n + 1, a_e + a_t), (n, a_e), (1, a_t)):
+        x, logdet = _solve_longdouble(eye + k * F, a)
+        quad.append(a @ x[:, 0])
+        logdets.append(logdet)
+    return (0.5 * (quad[0] - quad[1] - quad[2])
+            - 0.5 * (logdets[0] - logdets[1] - logdets[2]))
+
+
 def dense_class_loglik(model, X):
     """Marginal log-density of one class via the explicit stacked Gaussian."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -196,6 +246,19 @@ def det_curve_searchsorted(target_scores, nontarget_scores):
     far = 1.0 - np.searchsorted(ns, thresholds, side="left") / len(ns)
     frr = np.searchsorted(ts, thresholds, side="left") / len(ts)
     return thresholds, far, frr
+
+
+def eer_crossing_scan(thresholds, far, frr):
+    """(eer, threshold) of a DET curve found by a scan of every point: the
+    last point before the final one where FAR - FRR >= 0, interpolated
+    linearly to the point after it. The reference for the bisection that
+    ``compute_eer`` and ``eval_report`` run."""
+    diff = far - frr
+    k = int(np.nonzero(diff[:-1] >= 0)[0][-1])
+    denom = diff[k] - diff[k + 1]
+    alpha = 0.0 if denom == 0 else diff[k] / denom
+    return (float(far[k] + alpha * (far[k + 1] - far[k])),
+            float(thresholds[k] + alpha * (thresholds[k + 1] - thresholds[k])))
 
 
 def eer_oracle(target_scores, nontarget_scores):

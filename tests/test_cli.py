@@ -12,7 +12,7 @@ from plda_local.data_model import Dataset, read_dataset, write_dataset
 from plda_local.eval_harness import compute_eer, read_key, write_key
 from plda_local.eval_harness import TrialSet, generate_trials
 from plda_local.plda import load_model
-from _helpers import read_scores
+from _helpers import read_scores, trial_pairs
 
 
 def run(*args):
@@ -262,7 +262,7 @@ class TestEval:
         reported = float(dict(l.split(",") for l in lines[1:5])["eer"])
 
         trials = read_key(key_path)
-        key = dict(zip(trials.iter_trials(), trials.target.tolist()))
+        key = dict(zip(trial_pairs(trials), trials.target.tolist()))
         rows = read_scores(scores_path)
         ts = [s for m, t, s in rows if key[(m, t)]]
         ns = [s for m, t, s in rows if not key[(m, t)]]
@@ -286,7 +286,7 @@ class TestEval:
         key_path = tmp_path / "key.csv"
         trials = self._make_key(enroll_path, test_path, key_path)
         targets = [f"{m},{t},target" for (m, t), y
-                   in zip(trials.iter_trials(), trials.target) if y]
+                   in zip(trial_pairs(trials), trials.target) if y]
         key_path.write_text("\n".join(targets) + "\n")
         report_path, scores_path = tmp_path / "r.csv", tmp_path / "s.csv"
         assert run("eval", "--model", model_path, "--enroll", enroll_path,

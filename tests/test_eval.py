@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -13,6 +15,7 @@ from plda_local.eval_harness import (
     TrialSet,
     compute_eer,
     det_curve,
+    eval_report,
     generate_trials,
     read_key,
     run_strategy,
@@ -27,10 +30,12 @@ from _helpers import (
     corpus,
     cosine_score,
     det_curve_searchsorted,
+    eer_crossing_scan,
     eer_oracle,
     read_key_rows,
     read_scores,
     scaled_truth,
+    trial_pairs,
 )
 
 
@@ -57,7 +62,7 @@ class TestGenerateTrials:
         trials = generate_trials(["m0"], test, key)
         assert len(trials) == 1
         assert trials.n_target == 1
-        assert list(trials.iter_trials()) == [("m0", "t0")]
+        assert trial_pairs(trials) == [("m0", "t0")]
         assert trials.target.tolist() == [True]
 
     def test_unkeyable_utterance(self):
@@ -172,6 +177,52 @@ class TestComputeEer:
         assert far.tobytes() == o_far.tobytes()
         assert frr.tobytes() == o_frr.tobytes()
 
+    @settings(deadline=None, max_examples=300)
+    @given(DET_SCORES, DET_SCORES)
+    @example([0.5, 0.5, 0.5], [0.5, 0.5])  # every score equal
+    @example([1.0], [0.0, 2.0, 1.0])  # one target
+    @example([0.0, 2.0, 1.0], [1.0])  # one nontarget
+    @example([1e17], [2e17])
+    @example([2.0**53, 2.0**53], [-(2.0**53), 2.0**53])
+    @example([-1e17, 1e17], [1e17, 3e17, 3e17])
+    def test_bisection_matches_the_scanned_curve(self, ts, ns):
+        # where |score| >= 2**53 the top sentinel equals the highest score
+        # and repeats its rates, so the last segment can be flat
+        want = np.array(eer_crossing_scan(*det_curve_searchsorted(ts, ns)))
+        assert np.array(compute_eer(ts, ns)).tobytes() == want.tobytes()
+        report = eval_report(np.array(ts + ns, dtype=np.float64),
+                             np.arange(len(ts) + len(ns)) < len(ts))
+        assert np.array([report.eer, report.threshold]).tobytes() == want.tobytes()
+
+    @settings(deadline=None, max_examples=200)
+    @given(*[st.lists(st.one_of(st.integers(-3, 3), st.integers(-8000, 8000))
+                      .map(lambda x: x / 8.0), min_size=1, max_size=12)] * 2)
+    @example([0.5, 0.5, 0.5], [0.5, 0.5])
+    @example([1.0], [0.0, 2.0, 1.0])
+    @example([0.0, 2.0, 1.0], [1.0])
+    def test_bisection_matches_the_exhaustive_oracle(self, ts, ns):
+        # the oracle counts FAR as accepts / n, not 1 - rejects / n, so its
+        # rates and EER can differ from these in the last bit; its midpoint
+        # thresholds need scores on a grid, so that a midpoint never rounds
+        # onto a score
+        eer, _ = compute_eer(ts, ns)
+        assert eer == pytest.approx(eer_oracle(ts, ns)[0], abs=1e-15)
+
+    def test_leaves_no_reference_cycle(self):
+        # a cycle would keep the sorted score copies until the collector
+        # runs, and over a sweep's cells they pile up in the peak RSS
+        rng = np.random.default_rng(5)
+        ts, ns = rng.normal(1, 1, size=300), rng.normal(0, 1, size=900)
+        gc.collect()
+        gc.disable()
+        try:
+            compute_eer(ts, ns)
+            compute_eer([1e17], [2e17])
+            eval_report(np.concatenate([ts, ns]), np.arange(1200) < 300)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_det_curve_monotone(self):
         rng = np.random.default_rng(4)
         ts = rng.normal(1, 1, size=40)
@@ -217,7 +268,7 @@ class TestTrialSet:
         path = tmp_path / "key.csv"
         write_key(trials, path)
         back = read_key(path)
-        assert list(back.iter_trials()) == list(trials.iter_trials())
+        assert trial_pairs(back) == trial_pairs(trials)
         np.testing.assert_array_equal(back.target, trials.target)
 
 

@@ -2,14 +2,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from plda_local import _kernels
 from plda_local.data_model import Dataset, UtteranceRecord
-from plda_local.eval_harness import TrialSet, generate_trials
+from plda_local.eval_harness import (
+    EvalError,
+    TrialSet,
+    generate_trials,
+    write_key,
+    write_scores,
+)
 from plda_local.plda import score_trialset
-from _helpers import dense_llr, random_model
+from _helpers import dense_llr, random_model, trial_pairs
 
 
 class TestNumpyPath:
@@ -44,7 +50,7 @@ def _sparse_keyed(rng, enroll, tests, share=0.4):
 def _assert_matches_oracle(model, enroll, tests, trials):
     scores = score_trialset(model, enroll, trials, tests)
     assert scores.shape == (len(trials),)
-    for (mid, tid), s in zip(trials.iter_trials(), scores):
+    for (mid, tid), s in zip(trial_pairs(trials), scores):
         assert s == pytest.approx(dense_llr(model, enroll[mid], tests[tid]),
                                   rel=1e-9, abs=1e-9)
 
@@ -156,3 +162,72 @@ class TestScoreTrialset:
         for i in (0, 1234, n - 1):
             assert scores[i] == pytest.approx(
                 dense_llr(model, enroll[f"m{i}"], tests[f"t{i}"]), rel=1e-9, abs=1e-9)
+
+
+def _keyed_copy(product):
+    """The pairs of a model x test product as a keyed TrialSet in the same
+    model-major order, with index arrays built by repeat and tile."""
+    M, T = len(product.model_ids), len(product.test_utt_ids)
+    return TrialSet(product.model_ids, product.test_utt_ids,
+                    np.repeat(np.arange(M), T), np.tile(np.arange(T), M),
+                    product.target)
+
+
+class TestProductMatchesKeyed:
+    """A product and the same pairs as a keyed set give the same bits."""
+
+    @settings(deadline=None, max_examples=60,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(0, 7), st.integers(0, 7), st.integers(1, 24),
+           st.integers(0, 2**32 - 1))
+    @example(0, 3, 8, 0)  # no models
+    @example(3, 0, 8, 0)  # no tests
+    @example(1, 5, 8, 0)
+    @example(6, 1, 8, 0)
+    @example(7, 2, 6, 0)  # three models per chunk, which does not divide 7
+    @example(4, 5, 2, 0)  # more tests than _BLOCK: one model per chunk
+    def test_scores_and_files(self, tmp_path, n_models, n_tests, block, seed):
+        rng = np.random.default_rng(seed)
+        d = 3
+        model = random_model(rng, d, 2)
+        enroll = {f"m{i}": rng.normal(size=(int(rng.integers(1, 4)), d))
+                  for i in range(n_models)}
+        test = Dataset(d, tuple(
+            UtteranceRecord(utt_id=f"t{j}", conv_id="c", slot=0,
+                            global_spk=f"m{rng.integers(0, n_models + 1)}",
+                            vector=rng.normal(size=d))
+            for j in range(n_tests)))
+        tests = dict(zip(test.utt_ids, test.vectors()))
+        product = generate_trials(sorted(enroll), test,
+                                  dict(zip(test.utt_ids, test.global_spks)))
+        keyed = _keyed_copy(product)
+        assert product.is_product and not keyed.is_product
+        assert len(product) == n_models * n_tests
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "_BLOCK", block)
+            got = score_trialset(model, enroll, product, tests)
+            want = score_trialset(model, enroll, keyed, tests)
+        assert got.tobytes() == want.tobytes()
+
+        files = {}
+        for name, trials in (("product", product), ("keyed", keyed)):
+            write_scores(trials, got, tmp_path / f"{name}.scores")
+            write_key(trials, tmp_path / f"{name}.key")
+            files[name] = [(tmp_path / f"{name}.{ext}").read_bytes()
+                           for ext in ("scores", "key")]
+        assert files["product"] == files["keyed"]
+
+    def test_indices_match_the_keyed_set(self):
+        test = Dataset(1, tuple(
+            UtteranceRecord(utt_id=f"t{j}", conv_id="c", slot=0, global_spk="m1",
+                            vector=np.zeros(1)) for j in range(3)))
+        product = generate_trials(["m0", "m1"], test, {f"t{j}": "m1" for j in range(3)})
+        keyed = _keyed_copy(product)
+        for a, b in ((0, 6), (1, 5), (4, 4)):
+            assert product.indices(a, b) == keyed.indices(a, b)
+        assert product.indices(1, 5) == ([0, 0, 1, 1], [1, 2, 0, 1])
+        assert product.target.tolist() == [False] * 3 + [True] * 3
+
+    def test_product_target_mask_shape_is_checked(self):
+        with pytest.raises(EvalError, match="target mask"):
+            TrialSet.product(["m0"], ["t0", "t1"], np.zeros((2, 1), dtype=bool))

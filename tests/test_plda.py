@@ -17,8 +17,8 @@ from plda_local.plda import (
 )
 from plda_local.preprocess import Preprocessor
 from plda_local.synth import SynthConfig, sample_conversations, sample_truth
-from plda_local.eval_harness import generate_trials
-from _helpers import corpus, dense_llr, random_model
+from plda_local.eval_harness import TrialSet, generate_trials
+from _helpers import corpus, dense_llr, llr_longdouble, random_model, trial_pairs
 
 
 def count_eigh(monkeypatch):
@@ -277,7 +277,7 @@ class TestScoreBatch:
         m, enroll, trials, test_vecs = self._setup(n_models=1, n_tests=1)
         scores = score_trialset(m, enroll, trials, test_vecs)
         assert len(scores) == 1
-        [(mid, tid)] = trials.iter_trials()
+        [(mid, tid)] = trial_pairs(trials)
         assert scores[0] == pytest.approx(
             score_llr(m, enroll[mid], test_vecs[tid]), abs=1e-12
         )
@@ -285,7 +285,7 @@ class TestScoreBatch:
     def test_matches_looped_score_llr(self):
         m, enroll, trials, test_vecs = self._setup(seed=1, n_models=20, n_tests=20)
         scores = score_trialset(m, enroll, trials, test_vecs)
-        for (mid, tid), s in zip(trials.iter_trials(), scores):
+        for (mid, tid), s in zip(trial_pairs(trials), scores):
             assert s == pytest.approx(
                 score_llr(m, enroll[mid], test_vecs[tid]), abs=1e-12
             )
@@ -295,6 +295,36 @@ class TestScoreBatch:
         enroll.pop(sorted(enroll)[0])
         with pytest.raises(PldaError, match="m0"):
             score_trialset(m, enroll, trials, test_vecs)
+
+
+class TestLargeEnrollment:
+    @pytest.mark.parametrize("n", [1, 1_000, 100_000])
+    def test_matches_the_long_double_oracle(self, n):
+        # The error grows with n, from the cancellation between the joint
+        # and the enrollment quadratic forms. Over 12 seeds per n (d=20,
+        # q=5, enrollment drawn from one speaker of the model) the largest
+        # error / n read 5.6e-14, 3.3e-14 and 9.3e-15; the bound 1e-12 * n
+        # leaves at least 18x headroom.
+        rng = np.random.default_rng([0, n])
+        d, q = 20, 5
+        model = random_model(rng, d, q)
+        L = np.linalg.cholesky(model.Sigma)
+        spk = model.u + model.V @ rng.normal(size=q)
+        enroll = spk + rng.normal(size=(n, d)) @ L.T
+        tests = {"same": spk + L @ rng.normal(size=d),
+                 "other": model.u + model.V @ rng.normal(size=q) + L @ rng.normal(size=d)}
+        trials = TrialSet.product(["m"], list(tests), [[True, False]])
+        scores = score_trialset(model, {"m": enroll}, trials, tests)
+        want = np.array([llr_longdouble(model, enroll, v) for v in tests.values()])
+        assert np.all(np.abs(scores.astype(np.longdouble) - want) <= 1e-12 * n)
+
+    def test_long_double_oracle_matches_the_dense_oracle(self):
+        rng = np.random.default_rng(1)
+        model = random_model(rng, 6, 3)
+        for n in (1, 3):
+            enroll, test = rng.normal(size=(n, 6)), rng.normal(size=6)
+            assert float(llr_longdouble(model, enroll, test)) == pytest.approx(
+                dense_llr(model, enroll, test), rel=1e-9, abs=1e-9)
 
 
 class TestModelFile:
