@@ -14,6 +14,7 @@ import shutil
 import signal
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -277,9 +278,232 @@ def build_pooled_view(global_part: LabelView, local_part: LabelView) -> LabelVie
     return LabelView("pooled", classes)
 
 
+# Shortest round-trip formatting of float64 arrays: Schubfach (R. Giulietti,
+# "The Schubfach way to render doubles", 2020, as in Java's DoubleToDecimal)
+# picks the decimal, and the text follows repr(float). The arithmetic is
+# elementwise on uint64 arrays, where it wraps, never on numpy scalars,
+# where overflow warns.
+_K_MIN, _K_MAX = -324, 292  # decimal exponents k that a float64 needs
+
+
+def _flog2pow10(e):
+    return (e * 913124641741) >> 38  # floor(e log2 10), |e| <= 1838394
+
+
+def _g_table():
+    """g = floor(10^-k 2^(125 - flog2pow10(-k))) + 1, in [2^125, 2^126], for
+    each k from _K_MIN to _K_MAX, split into its high and low 63 bits."""
+    g1, g0 = [], []
+    for k in range(_K_MIN, _K_MAX + 1):
+        shift = 125 - _flog2pow10(-k)
+        g = (10 ** max(-k, 0) << max(shift, 0)) // (10 ** max(k, 0) << max(-shift, 0)) + 1
+        g1.append(g >> 63)
+        g0.append(g & ((1 << 63) - 1))
+    return np.array(g1, np.uint64), np.array(g0, np.uint64)
+
+
+_G1, _G0 = _g_table()
+_POW10 = np.array([10 ** i for i in range(18)], np.uint64)
+_LOW32 = (1 << 32) - 1
+
+
+def _rop(g1, g0, cp):
+    """floor(g cp / 2^127) for g = g1 2^63 + g0, its lowest bit set when
+    the bits below, as Schubfach keeps them, are not all zero (rounded to
+    odd). The 128-bit products come from 32-bit limbs: with g1, g0 < 2^63
+    and cp < 2^61, no sum of partial products carries out of 64 bits."""
+    c0, c1 = cp & _LOW32, cp >> 32
+
+    def high(a):  # the high 64 bits of a cp
+        a0, a1 = a & _LOW32, a >> 32
+        return a1 * c1 + ((((a0 * c0) >> 32) + a0 * c1 + a1 * c0) >> 32)
+
+    z = ((g1 * cp) >> 1) + high(g0)
+    return (high(g1) + (z >> 63)) | ((z << 1) != 0)
+
+
+def _shortest(bits):
+    """(f, k) with f 10^k the decimal of each finite non-zero float64 (given
+    as its uint64 bits) that repr(float) writes: of the decimals that round
+    to the float, the shortest, then the closest, then the one with an even
+    last digit. Other values give f = 0."""
+    bq = (bits >> 52) & 0x7FF
+    frac = bits & ((1 << 52) - 1)
+    # the float is c 2^q; a zero takes c = 1, and its result is dropped
+    c = np.where(bq != 0, frac | (1 << 52), np.maximum(frac, 1))
+    q = np.maximum(bq.astype(np.int64), 1) - 1075
+    # the float below a power of two is half as far away as the one above
+    irregular = (frac == 0) & (bq > 1)
+    # floor(log10) of the gap to the next float, 2^q, or 3/4 2^q when irregular
+    k = (q * 661971961083 - irregular * 274743187321) >> 41
+    h = (q + _flog2pow10(-k) + 2).astype(np.uint64)
+    g1, g0 = _G1[k - _K_MIN], _G0[k - _K_MIN]
+    cb = c << 2
+    # 4 10^-k times the float and the two ends of its rounding interval
+    vbl, vb, vbr = _rop(g1, g0, np.stack([cb - 2 + irregular, cb, cb + 2]) << h)
+    out = c & 1  # an odd significand's interval excludes its ends
+    s = vb >> 2
+    t = s + 1
+    sp10 = (s // 10) * 10
+    # at most one multiple of 10^(k+1) lies in the interval, and at least
+    # one of s 10^k and t 10^k
+    upin = vbl + out <= sp10 << 2
+    wpin = ((sp10 + 10) << 2) + out <= vbr
+    uin = vbl + out <= s << 2
+    win = (t << 2) + out <= vbr
+    mid = (s + t) << 1
+    closer_s = (vb < mid) | ((vb == mid) & ((s & 1) == 0))
+    pick_t = ~((uin & ~win) | ((uin == win) & closer_s))
+    f = np.where(upin != wpin, sp10 + np.uint64(10) * ~upin, s + pick_t)
+    f[(bq == 0x7FF) | ((bq == 0) & (frac == 0))] = 0
+    return f, k
+
+
+# One value's layout: a column each for its sign, "0." and three zeros
+# before a fraction below 0.001, the integer digits, the point, the fraction
+# digits, a "0" for an empty fraction, "e", and the exponent's sign and three
+# digits. Every digit column takes the 17-digit significand; _keep_table
+# says which columns a value's text keeps.
+_TEMPLATE = np.frombuffer(b"-0.000" + b"0" * 17 + b"." + b"0" * 17 + b"0e+000", np.uint8)
+_WIDTH = len(_TEMPLATE)
+_DECPT_MIN, _DECPT_MAX = -323, 309  # of a non-zero finite float64
+
+
+def _layout_class(decpt):
+    """Classes 0..23 of decimal-point positions whose values keep the same
+    columns, given digit count and sign: decpt + 4 for decpt in -4..17, with
+    lower positions in class 0 and higher ones in 21, but 22 for decpt <=
+    -99 and 23 for decpt >= 101, whose exponents take three digits."""
+    return np.clip(decpt, -4, 17) + 4 + 22 * (decpt <= -99) + 2 * (decpt >= 101)
+
+
+_NONFINITE_ROW = 24 * 17 * 2  # the row of "nan" in _keep_table
+
+
+@cache  # built on first use: importing the module runs no numpy arithmetic
+def _keep_table():
+    """The columns of the layout that repr's text keeps, for each (layout
+    class, digit count, sign) at row (class * 17 + digits - 1) * 2 + sign,
+    then for "nan", "inf" and "-inf". For value = +-0.d1d2..d_nd 10^decpt
+    the text is fixed-point for decpt from -3 to 16, else d1.d2..d_nd, "e"
+    and the exponent decpt - 1."""
+    decpt = np.repeat(np.r_[-4:18, -99, 101], 34)  # one position of each class
+    nd = np.tile(np.repeat(np.arange(1, 18), 2), 24)
+    neg = np.tile([False, True], 24 * 17)
+    exp = (decpt <= -4) | (decpt > 16)
+    fixed = ~exp
+    ilen = np.where(exp, 1, np.maximum(decpt, 0))[:, None]  # digits before the point
+    j = np.arange(17)
+    e = np.abs(decpt - 1)
+    table = np.zeros((_NONFINITE_ROW + 3, _WIDTH), bool)
+    table[:_NONFINITE_ROW] = np.column_stack([
+        neg,
+        fixed & (decpt <= 0), fixed & (decpt <= 0),
+        j[:3] < np.where(fixed, -decpt, 0)[:, None],
+        j < ilen,
+        (ilen[:, 0] > 0) & (fixed | (nd > 1)),
+        (j >= ilen) & (j < nd[:, None]),
+        fixed & (nd <= ilen[:, 0]),
+        exp, exp, exp & (e >= 100), exp, exp,
+    ])
+    table[_NONFINITE_ROW:, 6:9] = True
+    table[-1, 0] = True
+    return table
+
+
+_EXPONENTS = np.array([f"{d - 1:+04d}".encode() for d in range(_DECPT_MIN, _DECPT_MAX + 1)],
+                      "S4").view(np.uint8).reshape(-1, 4)
+
+
+def _format_into(x, chars, keep):
+    """Lay out repr(float(v)) of each value v of the (n, m) float64 array
+    ``x`` in ``chars[i, j]``, of shape (n, m, _WIDTH), and set ``keep[i, j]``
+    on the bytes of its text."""
+    n, m = x.shape
+    bits = np.ascontiguousarray(x, np.float64).reshape(-1).view(np.uint64)
+    f, k = _shortest(bits)
+    ndig = np.searchsorted(_POW10, f, side="right")
+    sig = f * _POW10[17 - ndig]  # 17 digits, the last ones zero
+    decpt = np.where(f == 0, 1, k + ndig)  # value = 0.d1d2... 10^decpt
+    digits = np.empty((17, len(f)), np.uint8)
+    for i in range(16, -1, -1):
+        q = sig // 10
+        digits[i] = sig - q * 10
+        sig = q
+    nd = np.maximum(np.max((digits != 0) * np.arange(1, 18, dtype=np.uint8)[:, None],
+                           axis=0), 1)
+    digits += ord("0")
+    row = (_layout_class(decpt) * 17 + nd - 1) * 2 + (bits >> 63).astype(np.intp)
+    nonfinite = np.flatnonzero((bits >> 52) & 0x7FF == 0x7FF)
+    if len(nonfinite):
+        inf = (bits[nonfinite] & ((1 << 52) - 1)) == 0
+        row[nonfinite] = _NONFINITE_ROW + inf * (1 + (bits[nonfinite] >> 63))
+        digits[:3, nonfinite] = np.where(inf, np.frombuffer(b"inf", np.uint8)[:, None],
+                                         np.frombuffer(b"nan", np.uint8)[:, None])
+    chars[...] = _TEMPLATE
+    chars[..., 6:23] = chars[..., 24:41] = digits.T.reshape(n, m, 17)
+    chars[..., 43:] = np.take(_EXPONENTS, np.clip(decpt, _DECPT_MIN, _DECPT_MAX)
+                              - _DECPT_MIN, axis=0).reshape(n, m, 4)
+    keep[...] = np.take(_keep_table(), row, axis=0).reshape(n, m, _WIDTH)
+
+
+_BLOCK = 1 << 13  # values per block: its arrays stay in cache
+
+
+def _text_rows(values, *fields):
+    """The text of rows i = 0..n-1, as a list of strings: the bytes of each
+    of ``fields`` at row i, then the row of the (n, k) float64 ``values`` as
+    repr writes each, joined by ",", then a line break. A field is a triple
+    (bytes, keep, rows): the pair ``_byte_rows`` gives and, for each row of
+    the text, the index of its row in them.
+
+    Each block of rows holding about _BLOCK values is laid out as one byte
+    matrix, padding included, and the padding is dropped with one mask: ids
+    may hold any byte, NUL too.
+    """
+    n, k = values.shape
+    at = sum(b.shape[1] for b, _, _ in fields)
+    width = at + k * (1 + _WIDTH) + 1
+    step = max(1, _BLOCK // max(1, k))
+    out = []
+    for a in range(0, n, step):
+        z = min(n - a, step)
+        chars = np.empty((z, width), np.uint8)
+        keep = np.empty((z, width), bool)
+        start = 0
+        for b, kb, rows in fields:
+            r = rows[a:a + z]
+            chars[:, start:start + b.shape[1]] = np.take(b, r, axis=0)
+            keep[:, start:start + b.shape[1]] = np.take(kb, r, axis=0)
+            start += b.shape[1]
+        # each value after the first is preceded by a ","
+        vc = chars[:, at:-1].reshape(z, k, 1 + _WIDTH)
+        vk = keep[:, at:-1].reshape(z, k, 1 + _WIDTH)
+        vc[..., 0] = ord(",")
+        vk[..., 0] = True
+        vk[:, :1, 0] = False
+        _format_into(values[a:a + z], vc[..., 1:], vk[..., 1:])
+        chars[:, -1] = ord("\n")
+        keep[:, -1] = True
+        out.append(chars[keep].tobytes().decode())
+    return out
+
+
+def _byte_rows(texts):
+    """(bytes, keep) for a list of strings: row i of the uint8 matrix
+    ``bytes`` holds the UTF-8 text of texts[i], padded to the longest, and
+    row i of ``keep`` marks its bytes."""
+    enc = [t.encode() for t in texts]
+    lengths = np.fromiter(map(len, enc), np.int64, len(enc))
+    width = max(1, int(lengths.max(initial=0)))
+    b = np.array(enc, dtype=f"S{width}").view(np.uint8).reshape(len(enc), width)
+    return b, np.arange(width) < lengths[:, None]
+
+
 def format_float(x: float) -> str:
-    """Shortest decimal that round-trips exactly (>= 12 significant digits)."""
-    return repr(float(x))
+    """repr(float(x)): the shortest decimal that reads back as the same
+    float, as ``_text_rows`` writes every value."""
+    return _text_rows(np.array([[float(x)]]))[0][:-1]
 
 
 @contextmanager
@@ -327,9 +551,10 @@ def _forked(runs, here, worker=None, done=None):
     waited for in order: done(run) is called when it exited cleanly, and
     here(run) when it failed or could not be forked. A run must be
     deterministic, so a fault raises here what a one-process pass raises,
-    at the first run that has one. A worker may do nothing but Python
-    parsing or formatting and numpy slicing: never BLAS, whose thread pool
-    does not survive ``fork``. No worker outlives the call.
+    at the first run that has one. A worker may parse and format in Python
+    and run elementwise numpy, integer arithmetic included, but never BLAS,
+    whose thread pool does not survive ``fork``. No worker outlives the
+    call.
     """
     pids = {}  # run index -> pid of its worker, until reaped
     try:
@@ -406,10 +631,9 @@ def write_dataset(data: Dataset, path) -> None:
     X = data.vectors()
 
     def lines(a, b):
-        for utt, conv, slot, spk, row in zip(*(c[a:b] for c in columns),
-                                              X[a:b].tolist()):
-            comps = ",".join(map(format_float, row))
-            yield f"{utt},{conv},{slot},{MISSING if spk is None else spk},{comps}\n"
+        ids = _byte_rows([f"{utt},{conv},{slot},{MISSING if spk is None else spk},"
+                          for utt, conv, slot, spk in zip(*(c[a:b] for c in columns))])
+        return _text_rows(X[a:b], (*ids, np.arange(b - a)))
 
     with _replacing(path) as fh:
         fh.write(f"#dim={data.dim}\n")

@@ -8,7 +8,7 @@ differences are purely training-side.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import chain, count, repeat
+from itertools import count
 
 import numpy as np
 
@@ -19,7 +19,9 @@ from .data_model import (
     build_global_view,
     build_local_view,
     build_pooled_view,
+    _byte_rows,
     _replacing,
+    _text_rows,
     _write_chunked,
     format_float,
     merge_datasets,
@@ -89,12 +91,15 @@ class TrialSet:
     def n_nontarget(self) -> int:
         return len(self) - self.n_target
 
+    def _index_arrays(self, start, stop):
+        """Model and test indices of trials start..stop-1, as two arrays."""
+        if self.is_product:
+            return np.divmod(np.arange(start, stop), len(self.test_utt_ids))
+        return self.model_idx[start:stop], self.test_idx[start:stop]
+
     def indices(self, start, stop):
         """Model and test indices of trials start..stop-1, as two lists."""
-        if self.is_product:
-            mi, ti = np.divmod(np.arange(start, stop), len(self.test_utt_ids))
-        else:
-            mi, ti = self.model_idx[start:stop], self.test_idx[start:stop]
+        mi, ti = self._index_arrays(start, stop)
         return mi.tolist(), ti.tolist()
 
     @classmethod
@@ -442,10 +447,21 @@ def _draw_classes(rng, n, view, names):
     return LabelView(view.strategy, {c: view.classes[c] for c in chosen})
 
 
-def _id_columns(trials: TrialSet):
-    """Model and test ids with the separating comma already appended."""
-    return ([m + "," for m in trials.model_ids],
-            [t + "," for t in trials.test_utt_ids])
+def _write_trial_rows(trials: TrialSet, header, path, values, *fields):
+    """header, then one row per trial: its model id, its test id, each of
+    ``fields`` (a ``_text_rows`` field whose rows are indexed by trial) and
+    its row of the (trials, k) ``values``."""
+    mids = _byte_rows([m + "," for m in trials.model_ids])
+    tids = _byte_rows([t + "," for t in trials.test_utt_ids])
+
+    def rows(a, b):
+        mi, ti = trials._index_arrays(a, b)
+        return _text_rows(values[a:b], (*mids, mi), (*tids, ti),
+                          *((text, keep, at[a:b]) for text, keep, at in fields))
+
+    with _replacing(path) as fh:
+        fh.write(header)
+        _write_chunked(fh, len(trials), rows)
 
 
 def write_scores(trials: TrialSet, scores, path) -> None:
@@ -453,22 +469,13 @@ def write_scores(trials: TrialSet, scores, path) -> None:
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != (len(trials),):
         raise EvalError(f"{scores.size} scores for {len(trials)} trials")
-    mids, tids = _id_columns(trials)
-    with _replacing(path) as fh:
-        fh.write("model_id,test_utt_id,score\n")
-        _write_chunked(fh, len(trials), lambda a, b: (
-            f"{mids[m]}{tids[t]}{v!r}\n"
-            for m, t, v in zip(*trials.indices(a, b), scores[a:b].tolist())))
+    _write_trial_rows(trials, "model_id,test_utt_id,score\n", path, scores[:, None])
 
 
 def write_key(trials: TrialSet, path) -> None:
-    mids, tids = _id_columns(trials)
-    tg = trials.target
-    with _replacing(path) as fh:
-        fh.write("model_id,test_utt_id,key\n")
-        _write_chunked(fh, len(trials), lambda a, b: (
-            f"{mids[m]}{tids[t]}{'target' if y else 'nontarget'}\n"
-            for m, t, y in zip(*trials.indices(a, b), tg[a:b].tolist())))
+    labels = _byte_rows(_LABELS[::-1])  # row 1 for a target
+    _write_trial_rows(trials, "model_id,test_utt_id,key\n", path,
+                      np.empty((len(trials), 0)), (*labels, trials.target.view(np.uint8)))
 
 
 _LABELS = ("target", "nontarget")
@@ -521,16 +528,6 @@ def _raise_first_faulty_row(path, text):
     raise AssertionError("a key file with no faulty row was scanned")
 
 
-def _runs(values):
-    """repr of each of ``values``, formatting each run of equal values once
-    (equal bits, so 0.0 and -0.0 stay apart)."""
-    bits = values.view(np.int64)
-    starts = np.flatnonzero(np.concatenate([[True], bits[1:] != bits[:-1]]))
-    lengths = np.diff(starts, append=len(values))
-    return chain.from_iterable(map(repeat, map(repr, values[starts].tolist()),
-                                   lengths.tolist()))
-
-
 def write_report(obj, path) -> None:
     """EvalReport -> metric,value CSV plus DET section; SweepGrid -> long form."""
     with _replacing(path) as fh:
@@ -542,9 +539,7 @@ def write_report(obj, path) -> None:
             fh.write(f"n_nontarget,{obj.n_nontarget}\n")
             fh.write("det_far,det_miss\n")
             det = np.asarray(obj.det_points, dtype=np.float64)
-            # a DET step moves one rate, so each column repeats in runs
-            _write_chunked(fh, len(det), lambda a, b: chain.from_iterable(zip(
-                _runs(det[a:b, 0]), repeat(","), _runs(det[a:b, 1]), repeat("\n"))))
+            _write_chunked(fh, len(det), lambda a, b: _text_rows(det[a:b]), width=2)
         elif isinstance(obj, SweepGrid):
             fh.write("n_global,n_local,seed,eer\n")
             for g in obj.axis_global:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .data_model import Dataset, LabelView, _replacing, format_float
+from .data_model import Dataset, LabelView, _replacing, _text_rows
 from .preprocess import Preprocessor
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -291,8 +291,7 @@ def _floor_spd(S: np.ndarray, d: int) -> np.ndarray:
 
 
 def _write_rows(fh, mat: np.ndarray):
-    for row in np.atleast_2d(mat):
-        fh.write(",".join(format_float(x) for x in row) + "\n")
+    fh.writelines(_text_rows(np.atleast_2d(np.asarray(mat, dtype=np.float64))))
 
 
 def save_model(model: PldaModel, pp: Preprocessor, path) -> None:

@@ -62,6 +62,67 @@ def read_scores(path):
     return [(mid, tid, float(s)) for mid, tid, s in rows]
 
 
+def _write_lines(path, lines):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(lines)
+
+
+def _trial_id_pairs(trials):
+    """(model_id, test_utt_id) of every trial in trial order, enumerated
+    from the set's own arrays: model-major for a product."""
+    if trials.is_product:
+        return [(m, t) for m in trials.model_ids for t in trials.test_utt_ids]
+    return [(trials.model_ids[m], trials.test_utt_ids[t])
+            for m, t in zip(trials.model_idx.tolist(), trials.test_idx.tolist())]
+
+
+def write_scores_rows(trials, scores, path):
+    """A scores file written one repr'd row at a time: the reference for
+    ``write_scores``'s bytes."""
+    _write_lines(path, ["model_id,test_utt_id,score\n"] + [
+        f"{m},{t},{v!r}\n"
+        for (m, t), v in zip(_trial_id_pairs(trials), np.asarray(scores, float).tolist())])
+
+
+def write_key_rows(trials, path):
+    """The reference for ``write_key``'s bytes."""
+    _write_lines(path, ["model_id,test_utt_id,key\n"] + [
+        f"{m},{t},{'target' if y else 'nontarget'}\n"
+        for (m, t), y in zip(_trial_id_pairs(trials), trials.target.tolist())])
+
+
+def write_dataset_rows(data, path):
+    """The reference for ``write_dataset``'s bytes."""
+    _write_lines(path, [f"#dim={data.dim}\n"] + [
+        f"{r.utt_id},{r.conv_id},{r.slot},{MISSING if r.global_spk is None else r.global_spk},"
+        + ",".join(map(repr, r.vector.tolist())) + "\n"
+        for r in data.records])
+
+
+def write_report_rows(report, path):
+    """The reference for ``write_report``'s bytes for an EvalReport."""
+    det = np.asarray(report.det_points, dtype=np.float64)
+    _write_lines(path, [
+        "metric,value\n",
+        f"eer,{float(report.eer)!r}\n",
+        f"threshold,{float(report.threshold)!r}\n",
+        f"n_target,{report.n_target}\n",
+        f"n_nontarget,{report.n_nontarget}\n",
+        "det_far,det_miss\n",
+    ] + [f"{far!r},{miss!r}\n" for far, miss in det.tolist()])
+
+
+def save_model_rows(model, pp, path):
+    """The reference for ``save_model``'s bytes."""
+    d, q = model.dim, model.latent_dim
+    lines = [f"#plda dim={d} q={q}\n"]
+    for name, mat in (("u", model.u), ("V", model.V.reshape(d, q)), ("Sigma", model.Sigma),
+                      ("pp.mean", pp.mean), ("pp.whitener", pp.whitener)):
+        lines.append(f"{name}:\n")
+        lines += [",".join(map(repr, row)) + "\n" for row in np.atleast_2d(mat).tolist()]
+    _write_lines(path, lines)
+
+
 def read_dataset_rows(path):
     """A corpus file read one row at a time into records, each checked as
     it is built: the reference for ``read_dataset``'s values and errors."""

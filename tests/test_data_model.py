@@ -279,33 +279,50 @@ class TestFileRoundTrip:
             read_dataset(p)
 
 
-# writer -> (module whose format_float it calls, calls before the failure, write)
+def det_report():
+    return eval_harness.eval_report(np.linspace(-1.0, 1.0, 12), np.arange(12) % 3 == 0)
+
+
+# writer -> (calls of the array formatter before the failure, write); with
+# values written in chunks of one or two, the calls before it write rows
 WRITERS = {
-    "write_dataset": (data_model, 10, lambda path: write_dataset(
+    "write_dataset": (2, lambda path: write_dataset(
         corpus(seed=2, dim=4, q=2, nconv=3, slots=1, utts=2), path)),
-    "save_model": (plda, 10, lambda path: plda.save_model(
+    "save_model": (3, lambda path: plda.save_model(
         random_model(np.random.default_rng(0), 4, 2), Preprocessor.identity(4), path)),
-    "write_report": (eval_harness, 2, lambda path: eval_harness.write_report(
+    "write_report": (2, lambda path: eval_harness.write_report(
         SweepGrid(axis_global=(0, 5), axis_local=(10,), repeats=2,
                   cells={(0, 10): np.array([0.1, 0.2]), (5, 10): np.array([0.0, 0.5])}),
         path)),
+    "write_report_det": (4, lambda path: eval_harness.write_report(det_report(), path)),
+    "write_scores": (2, lambda path: eval_harness.write_scores(
+        eval_harness.TrialSet.product(["m0", "m1"], [f"t{i}" for i in range(6)],
+                                      np.eye(2, 6, dtype=bool)),
+        np.linspace(0.0, 1.0, 12), path)),
 }
 
 
 @pytest.mark.parametrize("writer", sorted(WRITERS))
 def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch, writer):
-    module, good_calls, write = WRITERS[writer]
+    good_calls, write = WRITERS[writer]
     path = tmp_path / "out.csv"
     path.write_text("old contents\n")
+    monkeypatch.setattr(data_model, "_CHUNK", 2)
+    monkeypatch.setattr(data_model, "_usable_cores", lambda: 2)
+    parent = os.getpid()
     calls = []
+    format_into = data_model._format_into
 
-    def failing_format(x):
-        if len(calls) == good_calls:
-            raise RuntimeError("format failed")
-        calls.append(x)
-        return repr(float(x))
+    def failing_format(*args):
+        # a worker formats its run of chunks into a part file; this process
+        # fails in its own run, after some rows are written
+        if os.getpid() == parent:
+            if len(calls) == good_calls:
+                raise RuntimeError("format failed")
+            calls.append(1)
+        format_into(*args)
 
-    monkeypatch.setattr(module, "format_float", failing_format)
+    monkeypatch.setattr(data_model, "_format_into", failing_format)
     with pytest.raises(RuntimeError):
         write(path)
     assert len(calls) == good_calls
