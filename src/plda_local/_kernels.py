@@ -1,8 +1,11 @@
 """Hot numeric kernels: per-class E-step statistics and per-trial scoring.
 
-estep_stats(A, counts, F) -> (M, R2, ll_lat)
-    A:      (K, q) projected class sums, a_i = V' Sigma^-1 s_i
-    counts: (K,)   class sizes n_i
+estep_stats(A, sizes, bounds, F) -> (M, R2, ll_lat)
+    A:      (K, q) projected class sums, a_i = V' Sigma^-1 s_i, with the
+                   classes sorted by size
+    sizes:  (S,)   the distinct class sizes
+    bounds: (S+1,) rows bounds[j]:bounds[j+1] of A are the classes of size
+                   sizes[j]
     F:      (q, q) V' Sigma^-1 V
     M:      (K, q) posterior means m_i = (I + n_i F)^-1 a_i
     R2:     (q, q) sum_i n_i ((I + n_i F)^-1 + m_i m_i')
@@ -23,22 +26,20 @@ HAS_NUMBA = False
 _BLOCK = 1 << 20  # model x test scores computed at once (8 MB of float64)
 
 
-def estep_stats(A, counts, F):
-    K, q = A.shape
+def estep_stats(A, sizes, bounds, F):
+    # classes sharing a size share the posterior covariance, so one batched
+    # inverse and log-determinant serve every size, and each size's classes
+    # are one contiguous slice of A
+    q = A.shape[1]
+    P = np.eye(q) + sizes[:, None, None] * F
+    Pinv = np.linalg.inv(P)
+    logdet = np.linalg.slogdet(P)[1]
     M = np.empty_like(A)
     R2 = np.zeros((q, q))
-    ll_lat = 0.0
-    eye = np.eye(q)
-    # classes sharing a size share the posterior covariance
-    for n in np.unique(counts):
-        idx = np.nonzero(counts == n)[0]
-        P = eye + n * F
-        Pinv = np.linalg.inv(P)
-        sign, logdet = np.linalg.slogdet(P)
-        Mn = A[idx] @ Pinv.T
-        M[idx] = Mn
-        R2 += n * (len(idx) * Pinv + Mn.T @ Mn)
-        ll_lat += -0.5 * len(idx) * logdet + 0.5 * float(np.sum(A[idx] * Mn))
+    for n, Pn, a, b in zip(sizes.tolist(), Pinv, bounds[:-1].tolist(), bounds[1:].tolist()):
+        Mn = np.matmul(A[a:b], Pn.T, out=M[a:b])
+        R2 += n * ((b - a) * Pn + Mn.T @ Mn)
+    ll_lat = -0.5 * float(np.diff(bounds) @ logdet) + 0.5 * float(np.vdot(A, M))
     return M, R2, ll_lat
 
 

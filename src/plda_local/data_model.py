@@ -111,10 +111,6 @@ class UtteranceRecord:
                           global_spk=global_spk, vector=vector)
         return r
 
-    @property
-    def local_class(self) -> str:
-        return _local_class(self.conv_id, self.slot)
-
 
 class Dataset:
     """An ordered collection of utterances sharing one dimension, held as
@@ -525,6 +521,16 @@ def _replacing(path):
         raise
 
 
+def _read_text(path, error) -> str:
+    """The whole text of a UTF-8 file; other bytes raise ``error`` naming
+    the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise error(f"{path}: not UTF-8 text ({e.reason})") from None
+
+
 _CHUNK = 1 << 16  # values formatted or parsed per chunk
 
 
@@ -670,8 +676,7 @@ def read_dataset(path) -> Dataset:
     are split off each row here; the components are parsed on every usable
     core (``_forked``) into one shared matrix, a run of rows per core.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_text(path, ParseError).splitlines()
     if not lines or not lines[0].startswith("#dim="):
         raise ParseError(f"{path}: line 1: expected '#dim=<d>' header")
     try:

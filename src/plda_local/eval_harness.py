@@ -20,6 +20,7 @@ from .data_model import (
     build_local_view,
     build_pooled_view,
     _byte_rows,
+    _read_text,
     _replacing,
     _text_rows,
     _write_chunked,
@@ -96,11 +97,6 @@ class TrialSet:
         if self.is_product:
             return np.divmod(np.arange(start, stop), len(self.test_utt_ids))
         return self.model_idx[start:stop], self.test_idx[start:stop]
-
-    def indices(self, start, stop):
-        """Model and test indices of trials start..stop-1, as two lists."""
-        mi, ti = self._index_arrays(start, stop)
-        return mi.tolist(), ti.tolist()
 
     @classmethod
     def from_pairs(cls, model_ids, test_ids, target) -> "TrialSet":
@@ -497,8 +493,7 @@ def read_key(path) -> TrialSet:
     file is then scanned row by row for the error naming its first faulty
     line, and repeated pairs are refused by TrialSet.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(path, EvalError)
     end = text.find("\n")  # of the first line
     end = len(text) if end < 0 else end
     start = end + 1 if text[:end].split(",")[-1] not in _LABELS else 0  # a header, or blank

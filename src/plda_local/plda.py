@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .data_model import Dataset, LabelView, _replacing, _text_rows
+from .data_model import Dataset, LabelView, _read_text, _replacing, _text_rows
 from .preprocess import Preprocessor
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -69,7 +69,7 @@ class PldaModel:
         if rel > 1e-10:
             raise PldaError(f"Sigma asymmetric (relative {rel:.2e})")
         S = 0.5 * (S + S.T)
-        logdet_sigma, G, F = _sigma_terms(S, V)
+        logdet_sigma, _, G, F = _sigma_terms(S, V)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "V", V)
         object.__setattr__(self, "Sigma", S)
@@ -111,17 +111,20 @@ class PldaModel:
 
 
 def _sigma_terms(Sigma: np.ndarray, V: np.ndarray):
-    """(logdet Sigma, G = V' Sigma^-1, F = G V) for a symmetric Sigma; the
-    Cholesky factor that gives the log-determinant also checks that Sigma
-    is positive definite."""
+    """(logdet Sigma, Sigma^-1, G = V' Sigma^-1, F = G V) for a symmetric
+    Sigma, from its one Cholesky factor L: the factorization checks that
+    Sigma is positive definite, its diagonal gives the log-determinant, and
+    Sigma^-1 = L^-T L^-1 comes out symmetric."""
     try:
         L = np.linalg.cholesky(Sigma)
     except np.linalg.LinAlgError:
         raise PldaError("Sigma is not positive definite") from None
     logdet_sigma = 2.0 * float(np.sum(np.log(np.diag(L))))
-    G = np.linalg.solve(Sigma, V).T  # (q, d): G x = V' Sigma^-1 x
+    L_inv = np.linalg.inv(L)
+    Sigma_inv = L_inv.T @ L_inv
+    G = V.T @ Sigma_inv  # (q, d): G x = V' Sigma^-1 x
     F = G @ V
-    return logdet_sigma, G, 0.5 * (F + F.T)
+    return logdet_sigma, Sigma_inv, G, 0.5 * (F + F.T)
 
 
 def score_llr(model: PldaModel, enroll, test) -> float:
@@ -201,18 +204,22 @@ def score_trialset(model: PldaModel, enroll_models: dict, trials,
 
 
 def _collect_classes(data: Dataset, view: LabelView, pp: Preprocessor | None):
+    """(X, counts): the training vectors class by class and the class sizes,
+    the classes in ascending order of size, ties in view order."""
     if view.n_classes < 2:
         raise PldaError(f"need at least 2 classes, have {view.n_classes}")
     row = dict(zip(data.utt_ids, range(len(data))))
+    members = list(view.classes.values())
+    counts = np.array([len(m) for m in members], dtype=np.int64)
+    order = np.argsort(counts, kind="stable")
     try:
-        rows = [row[u] for members in view.classes.values() for u in members]
+        rows = [row[u] for i in order.tolist() for u in members[i]]
     except KeyError as e:
         raise PldaError(f"label view references unknown utt_id {e.args[0]!r}") from None
-    counts = [len(members) for members in view.classes.values()]
     X = data.vectors()[rows]
     if pp is not None:
         X = pp.apply(X)
-    return X, np.array(counts, dtype=np.int64)
+    return X, counts[order]
 
 
 def train_em(data: Dataset, view: LabelView, pp: Preprocessor | None,
@@ -224,17 +231,23 @@ def train_em(data: Dataset, view: LabelView, pp: Preprocessor | None,
     log-likelihood sequence is non-decreasing up to the Sigma eigenvalue floor.
     Pass pp=None to train on raw vectors.
     """
-    X, counts = _collect_classes(data, view, pp)
-    N, d = X.shape
+    Xc, counts = _collect_classes(data, view, pp)
+    N, d = Xc.shape
     q = cfg.latent_dim
     if q > d:
         raise PldaError(f"latent_dim {q} exceeds data dimension {d}")
 
-    u = X.mean(axis=0)
-    Xc = X - u
+    u = Xc.mean(axis=0)
+    Xc -= u  # centered in place: the rows are _collect_classes' own copy
     S_total = Xc.T @ Xc
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    sums = np.add.reduceat(Xc, offsets, axis=0)  # (K, d) centered class sums
+    # the classes come sorted by size: classes bounds[j]:bounds[j + 1] have
+    # size sizes[j], and their rows are one block of Xc, n rows per class
+    bounds = np.flatnonzero(np.concatenate([[True], counts[1:] != counts[:-1], [True]]))
+    sizes = counts[bounds[:-1]]
+    starts = np.concatenate([[0], np.cumsum(counts)])  # first row of each class
+    sums = np.empty((len(counts), d))  # centered class sums
+    for n, a, b in zip(sizes.tolist(), bounds[:-1].tolist(), bounds[1:].tolist()):
+        Xc[starts[a]:starts[b]].reshape(b - a, n, d).sum(axis=1, out=sums[a:b])
 
     rng = np.random.default_rng(cfg.seed)
     V = rng.normal(0.0, 1.0 / math.sqrt(d), size=(d, q))
@@ -243,11 +256,12 @@ def train_em(data: Dataset, view: LabelView, pp: Preprocessor | None,
 
     logliks: list[float] = []
     for it in range(cfg.iterations):
-        logdet_sigma, G, F = _sigma_terms(Sigma, V)
+        logdet_sigma, Sigma_inv, G, F = _sigma_terms(Sigma, V)
         A = sums @ G.T
-        M, R2, ll_lat = _kernels.estep_stats(A, counts, F)
+        M, R2, ll_lat = _kernels.estep_stats(A, sizes, bounds, F)
 
-        trace_term = float(np.trace(np.linalg.solve(Sigma, S_total)))
+        # trace(Sigma^-1 S_total), both matrices symmetric
+        trace_term = float(np.vdot(Sigma_inv, S_total))
         ll = -0.5 * N * d * LOG_2PI - 0.5 * N * logdet_sigma - 0.5 * trace_term + ll_lat
         if not math.isfinite(ll):
             raise PldaError(f"non-finite log-likelihood at iteration {it}")
@@ -263,9 +277,9 @@ def train_em(data: Dataset, view: LabelView, pp: Preprocessor | None,
         if q > 0:
             V = np.linalg.solve(R2.T, R1.T).T
         Sigma = (S_total - V @ R1.T) / N
-        Sigma = _floor_spd(0.5 * (Sigma + Sigma.T), d)
         if not (np.all(np.isfinite(V)) and np.all(np.isfinite(Sigma))):
             raise PldaError(f"non-finite parameter update at iteration {it}")
+        Sigma = _floor_spd(0.5 * (Sigma + Sigma.T), d)
 
     return PldaModel(u=u, V=V, Sigma=Sigma), logliks
 
@@ -275,14 +289,20 @@ def _floor_spd(S: np.ndarray, d: int) -> np.ndarray:
     floor = 1e-8 * np.trace(S) / d
     if floor <= 0:
         floor = 1e-12
-    # Almost no Sigma clamps, and eigenvalues alone cost a fraction of eigh.
-    # eigvalsh and eigh run different LAPACK drivers, whose smallest
-    # eigenvalues differ by O(d * eps * ||S||). When this test passes, S is
-    # positive definite, so ||S|| <= trace(S) = 1e8 * d * floor and the
-    # difference is about d**2 * 2e-8 * floor: the margin of one floor
-    # covers it for any practical d, and eigh would return S unchanged too.
-    if np.linalg.eigvalsh(S)[0] >= 2 * floor:
+    # Almost no Sigma clamps, and a Cholesky factorization costs a fraction
+    # of eigh. When the factorization of A = S - 2 floor I runs to the end,
+    # its factor is the exact one of A + E, where ||E||_2 <= d (d+1) u ||A + E||_2
+    # and u = 2**-53 (Higham, "Accuracy and Stability of Numerical
+    # Algorithms", Thm 10.3). A + E is positive definite, so ||A + E||_2 <=
+    # trace(A + E) <= trace(S) + d ||E||_2 = 1e8 d floor + d ||E||_2, which
+    # gives ||E||_2 <= 1.2e-8 d**2 (d+1) floor: under half a floor for d up
+    # to 300. So the smallest eigenvalue of S is above 1.5 floor, eigh's
+    # differs from it by about d u ||S||_2, and eigh would keep S too.
+    try:
+        np.linalg.cholesky(S - 2 * floor * np.eye(d))
         return S
+    except np.linalg.LinAlgError:
+        pass
     evals, evecs = np.linalg.eigh(S)
     if evals[0] >= floor:
         return S
@@ -337,8 +357,7 @@ def _parse_rows(lines, start, n_rows, n_cols, path, section):
 
 def load_model(path):
     """Read a model file; derived matrices are recomputed and re-validated."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_text(path, ModelFormatError).splitlines()
     if not lines or not lines[0].startswith("#plda "):
         raise ModelFormatError(f"{path}: missing '#plda' header")
     try:

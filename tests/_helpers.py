@@ -12,6 +12,7 @@ from plda_local.data_model import (
     Dataset,
     ParseError,
     UtteranceRecord,
+    _local_class,
 )
 from plda_local.eval_harness import EvalError
 from plda_local.plda import PldaModel
@@ -47,9 +48,21 @@ def scaled_truth(seed, dim, q, vscale=1.0):
     return PldaModel(u=t.u, V=t.V * vscale, Sigma=t.Sigma)
 
 
+def local_class(record):
+    """The local class id of a record, as ``build_local_view`` names it."""
+    return _local_class(record.conv_id, record.slot)
+
+
+def trial_indices(trials, start, stop):
+    """Model and test indices of trials start..stop-1 of a TrialSet, as two
+    lists."""
+    mi, ti = trials._index_arrays(start, stop)
+    return mi.tolist(), ti.tolist()
+
+
 def trial_pairs(trials):
     """(model_id, test_utt_id) of every trial of a TrialSet, in trial order."""
-    mi, ti = trials.indices(0, len(trials))
+    mi, ti = trial_indices(trials, 0, len(trials))
     return list(zip(map(trials.model_ids.__getitem__, mi),
                     map(trials.test_utt_ids.__getitem__, ti)))
 

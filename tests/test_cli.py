@@ -410,6 +410,55 @@ class TestSweep:
                    "--seed", 1, "--report", tmp_path / "g.csv") == 1
 
 
+class TestNotUtf8:
+    """An input file holding bytes that are not UTF-8 exits 2 with an error
+    naming the file, and leaves no output behind."""
+
+    @staticmethod
+    def spoil(path):
+        """Put the bytes 0xff 0xfe, which no UTF-8 text holds, in the middle
+        of a file."""
+        data = path.read_bytes()
+        path.write_bytes(data[:len(data) // 2] + b"\xff\xfe" + data[len(data) // 2:])
+        return path
+
+    def expect_refused(self, capsys, args, bad, outputs):
+        assert run(*args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: not UTF-8 text")
+        assert "Traceback" not in err
+        for out in outputs:
+            assert not out.exists()
+
+    def test_train_corpus(self, corpus_file, tmp_path, capsys):
+        model = tmp_path / "m.plda"
+        self.expect_refused(capsys, ["train", "--data", self.spoil(corpus_file),
+                                     "--labels", "local", "--seed", 0, "--model", model],
+                            corpus_file, [model])
+
+    @pytest.mark.parametrize("bad_input", ["model", "enroll", "test"])
+    def test_score_inputs(self, scored_setup, tmp_path, capsys, bad_input):
+        paths = dict(zip(("model", "enroll", "test"), scored_setup))
+        self.spoil(paths[bad_input])
+        scores = tmp_path / "scores.csv"
+        self.expect_refused(capsys, ["score", "--model", paths["model"],
+                                     "--enroll", paths["enroll"], "--test", paths["test"],
+                                     "--scores", scores],
+                            paths[bad_input], [scores])
+
+    @pytest.mark.parametrize("bad_input", ["model", "key"])
+    def test_eval_inputs(self, scored_setup, tmp_path, capsys, bad_input):
+        model_path, enroll_path, test_path = scored_setup
+        key = tmp_path / "key.csv"
+        TestEval()._make_key(enroll_path, test_path, key)
+        bad = self.spoil(model_path if bad_input == "model" else key)
+        report, scores = tmp_path / "r.csv", tmp_path / "s.csv"
+        self.expect_refused(capsys, ["eval", "--model", model_path, "--enroll", enroll_path,
+                                     "--test", test_path, "--key", key,
+                                     "--report", report, "--scores", scores],
+                            bad, [report, scores])
+
+
 class TestTopLevel:
     def test_no_command_is_usage_error(self):
         assert cli.main([]) == 1

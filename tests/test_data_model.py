@@ -26,7 +26,8 @@ from plda_local.data_model import (
 )
 from plda_local.eval_harness import SweepGrid
 from plda_local.preprocess import Preprocessor
-from _helpers import corpus, member_count, partition, random_model, read_dataset_rows
+from _helpers import (corpus, local_class, member_count, partition, random_model,
+                      read_dataset_rows)
 from test_golden_output import SPECIAL
 
 
@@ -73,7 +74,7 @@ class TestRecords:
         assert r.slot == 3 and type(r.slot) is int
 
     def test_local_class_composition(self):
-        assert rec("u1", conv="c7", slot=3).local_class == "c7:3"
+        assert local_class(rec("u1", conv="c7", slot=3)) == "c7:3"
 
     def test_vector_is_read_only(self):
         r = rec("u1")

@@ -15,18 +15,36 @@ from plda_local.eval_harness import (
     write_scores,
 )
 from plda_local.plda import score_trialset
-from _helpers import dense_llr, random_model, trial_pairs
+from _helpers import dense_llr, random_model, trial_indices, trial_pairs
 
 
 class TestNumpyPath:
     def test_estep_q0(self):
         A = np.empty((5, 0))
-        counts = np.ones(5, dtype=np.int64)
         F = np.empty((0, 0))
-        M, R2, ll = _kernels.estep_stats(A, counts, F)
+        # five classes of size 1
+        M, R2, ll = _kernels.estep_stats(A, np.array([1]), np.array([0, 5]), F)
         assert M.shape == (5, 0)
         assert R2.shape == (0, 0)
         assert ll == 0.0
+
+    def test_estep_matches_a_per_class_loop(self):
+        rng = np.random.default_rng(3)
+        q = 3
+        B = rng.normal(size=(q, q))
+        F = B @ B.T
+        counts = np.repeat([1, 2, 5], [4, 1, 3])  # sorted by size
+        A = rng.normal(size=(len(counts), q))
+        M, R2, ll = _kernels.estep_stats(A, np.array([1, 2, 5]), np.array([0, 4, 5, 8]), F)
+        want_R2, want_ll = np.zeros((q, q)), 0.0
+        for i, n in enumerate(counts):
+            P = np.eye(q) + n * F
+            m = np.linalg.solve(P, A[i])
+            np.testing.assert_allclose(M[i], m, rtol=1e-12, atol=1e-14)
+            want_R2 += n * (np.linalg.inv(P) + np.outer(m, m))
+            want_ll += -0.5 * np.linalg.slogdet(P)[1] + 0.5 * A[i] @ m
+        np.testing.assert_allclose(R2, want_R2, rtol=1e-12)
+        assert ll == pytest.approx(want_ll, rel=1e-12)
 
 
 def _material(seed, d=4, q=2, n_models=9, n_tests=11):
@@ -224,8 +242,8 @@ class TestProductMatchesKeyed:
         product = generate_trials(["m0", "m1"], test, {f"t{j}": "m1" for j in range(3)})
         keyed = _keyed_copy(product)
         for a, b in ((0, 6), (1, 5), (4, 4)):
-            assert product.indices(a, b) == keyed.indices(a, b)
-        assert product.indices(1, 5) == ([0, 0, 1, 1], [1, 2, 0, 1])
+            assert trial_indices(product, a, b) == trial_indices(keyed, a, b)
+        assert trial_indices(product, 1, 5) == ([0, 0, 1, 1], [1, 2, 0, 1])
         assert product.target.tolist() == [False] * 3 + [True] * 3
 
     def test_product_target_mask_shape_is_checked(self):

@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import ortho_group
 
 from plda_local import plda
-from plda_local.data_model import build_global_view
+from plda_local.data_model import (
+    Dataset,
+    UtteranceRecord,
+    build_global_view,
+    build_local_view,
+    build_pooled_view,
+    merge_datasets,
+)
 from plda_local.plda import (
     ModelFormatError,
     PldaError,
@@ -18,20 +27,55 @@ from plda_local.plda import (
 from plda_local.preprocess import Preprocessor
 from plda_local.synth import SynthConfig, sample_conversations, sample_truth
 from plda_local.eval_harness import TrialSet, generate_trials
-from _helpers import corpus, dense_llr, llr_longdouble, random_model, trial_pairs
+from _helpers import (
+    corpus,
+    dense_class_loglik,
+    dense_llr,
+    llr_longdouble,
+    random_model,
+    trial_pairs,
+)
+
+
+def count_calls(monkeypatch, owner, name):
+    """Record the positional arguments of every call of ``owner.name`` for
+    the rest of the test."""
+    calls = []
+    f = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return f(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
 
 
 def count_eigh(monkeypatch):
     """Record every np.linalg.eigh call for the rest of the test."""
-    calls = []
-    eigh = np.linalg.eigh
+    return count_calls(monkeypatch, np.linalg, "eigh")
 
-    def counting(S):
-        calls.append(S)
-        return eigh(S)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting)
-    return calls
+def pooled_material(seed, d, q):
+    """(data, view) of a pooled view whose classes have 1, 2, 4 and 5
+    members, three of each size in shuffled order, drawn from a random
+    model: half of the classes are speakers with global labels, half are
+    conversation slots without."""
+    rng = np.random.default_rng(seed)
+    truth = random_model(rng, d, q)
+    L = np.linalg.cholesky(truth.Sigma)
+    sizes = rng.permutation([1, 2, 4, 5] * 3)
+    records = {True: [], False: []}  # keyed by whether the class has a label
+    for c, n in enumerate(sizes.tolist()):
+        labelled = c % 2 == 0
+        spk = truth.u + truth.V @ rng.normal(size=q)
+        records[labelled] += [UtteranceRecord(
+            utt_id=f"u{c}_{j}", conv_id=f"c{c}", slot=0,
+            global_spk=f"s{c}" if labelled else None,
+            vector=spk + L @ rng.normal(size=d)) for j in range(n)]
+    g, l = Dataset(d, tuple(records[True])), Dataset(d, tuple(records[False]))
+    view = build_pooled_view(build_global_view(g), build_local_view(l))
+    return merge_datasets(g, l), view
 
 
 class TestModelValidation:
@@ -207,11 +251,15 @@ class TestTrainEm:
 
     def test_well_conditioned_training_skips_eigh(self, monkeypatch):
         eighs = count_eigh(monkeypatch)
+        eigvalshs = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        uniques = count_calls(monkeypatch, np, "unique")
         data = corpus(seed=1, dim=6, q=2, nconv=60, slots=1, utts=3)
         _, lls = train_em(data, build_global_view(data), None,
                           TrainConfig(latent_dim=2, iterations=20, seed=0))
         assert len(lls) > 1
         assert eighs == []
+        assert eigvalshs == []
+        assert len(uniques) <= 1
 
     def test_eigenvalue_within_twice_the_floor_goes_through_eigh(self, monkeypatch):
         d = 4
@@ -225,6 +273,46 @@ class TestTrainEm:
         eighs = count_eigh(monkeypatch)
         assert plda._floor_spd(S, d) is S
         assert len(eighs) == 1
+
+    @settings(deadline=None, max_examples=300)
+    @given(d=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
+           scale=st.floats(-6.0, 6.0),
+           k=st.one_of(st.sampled_from([0.0, 1.0, 2.0]), st.floats(-3.0, 4.0)))
+    @example(d=4, seed=0, scale=0.0, k=1.0)  # at the floor
+    @example(d=4, seed=0, scale=0.0, k=1.5)  # between the floor and twice it
+    @example(d=4, seed=0, scale=0.0, k=1.999999)
+    def test_floor_keeps_s_exactly_when_eigh_would(self, d, seed, scale, k):
+        # S has eigenvalues 10**scale * [0.1, 10] and a smallest one of k
+        # floors, where floor = 1e-8 * trace(S) / d
+        rng = np.random.default_rng(seed)
+        Q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+        others = 10.0 ** (scale + rng.uniform(-1.0, 1.0, size=d - 1))
+        lam = k * 1e-8 * others.sum() / (d - k * 1e-8)
+        S = (Q * np.concatenate([[lam], others])) @ Q.T
+        S = 0.5 * (S + S.T)
+        floor = 1e-8 * np.trace(S) / d
+        evals, evecs = np.linalg.eigh(S)
+        out = plda._floor_spd(S, d)
+        assert (out is S) == (evals[0] >= floor)
+        if out is not S:
+            np.testing.assert_array_equal(out, (evecs * np.maximum(evals, floor)) @ evecs.T)
+
+    @pytest.mark.parametrize("q", [0, 2, 5], ids=["q0", "q2", "q_equals_d"])
+    def test_loglik_equals_the_dense_oracle(self, q):
+        # the log-likelihood reported at iteration k is that of the model
+        # after k M-steps, which is what a training of k iterations returns
+        data, view = pooled_material(seed=q, d=5, q=q)
+        sizes = [len(m) for m in view.classes.values()]
+        assert sorted(set(sizes)) == [1, 2, 4, 5] and sizes != sorted(sizes)
+        rows = dict(zip(data.utt_ids, data.vectors()))
+        for k in (1, 4):
+            model, _ = train_em(data, view, None, TrainConfig(
+                latent_dim=q, iterations=k, seed=0, loglik_tol=0))
+            _, lls = train_em(data, view, None, TrainConfig(
+                latent_dim=q, iterations=k + 1, seed=0, loglik_tol=0))
+            want = sum(dense_class_loglik(model, [rows[u] for u in members])
+                       for members in view.classes.values())
+            assert lls[-1] == pytest.approx(want, rel=1e-9)
 
     @pytest.mark.parametrize("dim,q,utts", [(5, 2, 1), (4, 4, 3)],
                              ids=["singleton_classes", "q_equals_d"])
