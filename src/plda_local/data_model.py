@@ -66,6 +66,14 @@ def _check_fields(utt_id, conv_id, slot, global_spk) -> int:
     return slot
 
 
+def _is_seed(value) -> bool:
+    """Whether ``value`` is an integer numpy's generators accept as a seed."""
+    try:
+        return operator.index(value) >= 0
+    except TypeError:
+        return False
+
+
 def _check_finite(utt_id, vector):
     if not np.all(np.isfinite(vector)):
         raise DataError(f"vector for {utt_id} has non-finite components")
@@ -222,6 +230,14 @@ class LabelView:
                     raise LabelingError(f"utt_id {utt} appears in two classes")
                 seen.add(utt)
 
+    @classmethod
+    def _checked(cls, strategy, classes) -> "LabelView":
+        """A view over classes the caller has checked: none empty, and no
+        utt_id in two of them."""
+        view = object.__new__(cls)
+        view.__dict__.update(strategy=strategy, classes=classes)
+        return view
+
     @property
     def n_classes(self) -> int:
         return len(self.classes)
@@ -250,8 +266,8 @@ def group_by_speaker(data: Dataset) -> dict[str, list[UtteranceRecord]]:
 def build_global_view(data: Dataset) -> LabelView:
     """One class per distinct global speaker id."""
     ids = data.utt_ids
-    return LabelView("global", {spk: tuple(ids[i] for i in rows)
-                                for spk, rows in _speaker_rows(data).items()})
+    return LabelView._checked("global", {spk: tuple(ids[i] for i in rows)
+                                         for spk, rows in _speaker_rows(data).items()})
 
 
 def build_local_view(data: Dataset) -> LabelView:
@@ -259,7 +275,7 @@ def build_local_view(data: Dataset) -> LabelView:
     classes: dict[str, list[str]] = {}
     for utt, conv, slot in zip(data.utt_ids, data.conv_ids, data.slots):
         classes.setdefault(_local_class(conv, slot), []).append(utt)
-    return LabelView("local", {k: tuple(v) for k, v in classes.items()})
+    return LabelView._checked("local", {k: tuple(v) for k, v in classes.items()})
 
 
 def build_pooled_view(global_part: LabelView, local_part: LabelView) -> LabelView:
@@ -269,9 +285,13 @@ def build_pooled_view(global_part: LabelView, local_part: LabelView) -> LabelVie
     overlap = g_utts & l_utts
     if overlap:
         raise PoolingError(f"views share utt_ids: {sorted(overlap)[:5]}")
+    for part, utts in ((global_part, g_utts), (local_part, l_utts)):
+        if len(utts) != sum(map(len, part.classes.values())):
+            raise LabelingError(f"a utt_id appears in two classes of the "
+                                f"{part.strategy} view")
     classes = {f"g:{k}": v for k, v in global_part.classes.items()}
     classes.update({f"l:{k}": v for k, v in local_part.classes.items()})
-    return LabelView("pooled", classes)
+    return LabelView._checked("pooled", classes)
 
 
 # Shortest round-trip formatting of float64 arrays: Schubfach (R. Giulietti,

@@ -20,6 +20,7 @@ from .data_model import (
     build_local_view,
     build_pooled_view,
     _byte_rows,
+    _is_seed,
     _read_text,
     _replacing,
     _text_rows,
@@ -363,6 +364,8 @@ class SweepSpec:
             raise EvalError("axis values must be non-negative")
         if self.repeats < 1:
             raise EvalError("repeats must be >= 1")
+        if not _is_seed(self.base_seed):
+            raise EvalError(f"base_seed must be a non-negative integer, got {self.base_seed!r}")
 
 
 @dataclass(frozen=True)
@@ -440,7 +443,7 @@ def _draw_classes(rng, n, view, names):
     """The sub-view of n of the view's classes, drawn without replacement
     from its sorted class ``names``."""
     chosen = [names[i] for i in rng.choice(len(names), size=n, replace=False)]
-    return LabelView(view.strategy, {c: view.classes[c] for c in chosen})
+    return LabelView._checked(view.strategy, {c: view.classes[c] for c in chosen})
 
 
 def _write_trial_rows(trials: TrialSet, header, path, values, *fields):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .data_model import Dataset, LabelView, _read_text, _replacing, _text_rows
+from .data_model import Dataset, LabelView, _is_seed, _read_text, _replacing, _text_rows
 from .preprocess import Preprocessor
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -39,6 +39,8 @@ class TrainConfig:
     loglik_tol: float = 1e-7
 
     def __post_init__(self):
+        if not _is_seed(self.seed):
+            raise PldaError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.iterations < 1:
             raise PldaError("iterations must be >= 1")
         if self.latent_dim < 0:

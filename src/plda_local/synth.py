@@ -14,12 +14,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data_model import Dataset, UtteranceRecord, _speaker_rows
+from .data_model import Dataset, UtteranceRecord, _is_seed, _speaker_rows
 from .plda import PldaModel
 
 
 class SynthError(Exception):
     pass
+
+
+_BLOCK_ROWS = 8192  # rows transformed per stacked matrix-vector product
 
 
 @dataclass(frozen=True)
@@ -34,6 +37,8 @@ class SynthConfig:
     truth: PldaModel | None = field(default=None)
 
     def __post_init__(self):
+        if not _is_seed(self.seed):
+            raise SynthError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not (0.0 <= self.recurrence <= 1.0):
             raise SynthError(f"recurrence must be in [0, 1], got {self.recurrence}")
         for name in ("dim", "n_conversations", "slots_per_conversation", "utts_per_slot"):
@@ -68,48 +73,65 @@ def sample_conversations(cfg: SynthConfig) -> Dataset:
     Within a conversation all slots hold distinct speakers; a recurrence draw
     that collides with a speaker already in the conversation is redrawn, with a
     fresh-speaker fallback after 100 attempts.
+
+    Draw order, which fixes every output bit for a seed: slot by slot, one
+    ``random()`` (once a speaker exists), up to 100 ``integers`` for a reuse,
+    ``standard_normal(latent_dim)`` for a new speaker, then one
+    ``standard_normal`` of the slot's (utts_per_slot, dim) noise. The noise is
+    then transformed in blocks by stacked matrix-vector products, which give
+    each row the bits of ``u + V @ y + chol @ z``; a matrix-matrix product
+    would not.
     """
     truth = cfg.truth if cfg.truth is not None else sample_truth(cfg)
     if truth.dim != cfg.dim or truth.latent_dim != cfg.latent_dim:
         raise SynthError("truth model shape does not match config")
     rng = np.random.default_rng([cfg.seed, 1])
     chol = np.linalg.cholesky(truth.Sigma)
+    C, S, U = cfg.n_conversations, cfg.slots_per_conversation, cfg.utts_per_slot
 
-    # ids carry the seed so corpora drawn with different seeds can be merged
-    tag = f"x{cfg.seed}"
-    speakers_y: list[np.ndarray] = []  # latent factor per speaker, by index
-    X = np.empty((cfg.n_conversations * cfg.slots_per_conversation * cfg.utts_per_slot,
-                  cfg.dim))
-    utt_ids, conv_ids, slots, spk_ids = [], [], [], []
-    for c in range(cfg.n_conversations):
-        conv_id = f"{tag}c{c:05d}"
+    X = np.empty((C * S * U, cfg.dim))  # noise now, vectors after the transform
+    Y = np.empty((C * S, cfg.latent_dim))  # latent factor per speaker; at most one per slot
+    slot_spk = np.empty(C * S, dtype=np.int64)
+    n_spk = 0
+    for c in range(C):
         in_conv: set[int] = set()
-        for slot in range(cfg.slots_per_conversation):
-            reuse = speakers_y and rng.random() < cfg.recurrence
+        for slot in range(S):
+            k = c * S + slot
             spk = -1
-            if reuse:
+            if n_spk and rng.random() < cfg.recurrence:
                 for _ in range(100):
-                    cand = int(rng.integers(len(speakers_y)))
+                    cand = int(rng.integers(n_spk))
                     if cand not in in_conv:
                         spk = cand
                         break
             if spk < 0:
-                spk = len(speakers_y)
-                if cfg.latent_dim > 0:
-                    speakers_y.append(rng.standard_normal(cfg.latent_dim))
-                else:
-                    speakers_y.append(np.zeros(0))
+                spk = n_spk
+                n_spk += 1
+                rng.standard_normal(out=Y[spk])
             in_conv.add(spk)
-            base = truth.u + truth.V @ speakers_y[spk]
-            for j in range(cfg.utts_per_slot):
-                z = chol @ rng.standard_normal(cfg.dim)
-                X[len(utt_ids)] = base + z
-                utt_ids.append(f"{tag}u{len(utt_ids):07d}")
-                conv_ids.append(conv_id)
-                slots.append(slot)
-                spk_ids.append(f"{tag}s{spk:06d}")
-    return Dataset._columns(cfg.dim, tuple(utt_ids), tuple(conv_ids), tuple(slots),
-                            tuple(spk_ids), X)
+            slot_spk[k] = spk
+            rng.standard_normal(out=X[k * U:(k + 1) * U])
+
+    # u + V y is formed per row, block by block, so that no (speakers, dim)
+    # array is held beside X; each row's gemv gives its speaker's bits
+    row_spk = np.repeat(slot_spk, U)
+    for a in range(0, len(X), _BLOCK_ROWS):
+        block = X[a:a + _BLOCK_ROWS]
+        base = np.matmul(truth.V, Y[row_spk[a:a + _BLOCK_ROWS], :, None])[..., 0]
+        base += truth.u
+        np.add(np.matmul(chol, block[:, :, None])[..., 0], base, out=block)
+
+    # ids carry the seed so corpora drawn with different seeds can be merged
+    tag = f"x{cfg.seed}"
+    convs = [f"{tag}c{c:05d}" for c in range(C)]
+    spks = [f"{tag}s{s:06d}" for s in range(n_spk)]
+    return Dataset._columns(
+        cfg.dim,
+        tuple([f"{tag}u{i:07d}" for i in range(len(X))]),
+        tuple(map(convs.__getitem__, np.repeat(np.arange(C), S * U).tolist())),
+        tuple(np.tile(np.repeat(np.arange(S), U), C).tolist()),
+        tuple(map(spks.__getitem__, row_spk.tolist())),
+        X)
 
 
 @dataclass(frozen=True)
@@ -127,6 +149,8 @@ def split_eval(data: Dataset, n_enroll_per_spk: int, n_test_per_spk: int,
     excluded and counted."""
     if n_enroll_per_spk < 1 or n_test_per_spk < 1:
         raise SynthError("per-speaker counts must be >= 1")
+    if not _is_seed(seed):
+        raise SynthError(f"seed must be a non-negative integer, got {seed!r}")
     by_spk = _speaker_rows(data)
     records = data.records
     rng = np.random.default_rng(seed)

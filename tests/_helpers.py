@@ -48,6 +48,42 @@ def scaled_truth(seed, dim, q, vscale=1.0):
     return PldaModel(u=t.u, V=t.V * vscale, Sigma=t.Sigma)
 
 
+def sample_conversations_rows(cfg):
+    """The conversation sampler written one utterance at a time: the
+    reference for ``sample_conversations``'s draw order and bits. Returns
+    (utt_ids, conv_ids, slots, speaker ids, vectors) as lists and a matrix."""
+    truth = cfg.truth if cfg.truth is not None else sample_truth(cfg)
+    rng = np.random.default_rng([cfg.seed, 1])
+    chol = np.linalg.cholesky(truth.Sigma)
+    tag = f"x{cfg.seed}"
+    speakers_y = []
+    rows, utt_ids, conv_ids, slots, spk_ids = [], [], [], [], []
+    for c in range(cfg.n_conversations):
+        in_conv = set()
+        for slot in range(cfg.slots_per_conversation):
+            reuse = speakers_y and rng.random() < cfg.recurrence
+            spk = -1
+            if reuse:
+                for _ in range(100):
+                    cand = int(rng.integers(len(speakers_y)))
+                    if cand not in in_conv:
+                        spk = cand
+                        break
+            if spk < 0:
+                spk = len(speakers_y)
+                speakers_y.append(rng.standard_normal(cfg.latent_dim)
+                                  if cfg.latent_dim > 0 else np.zeros(0))
+            in_conv.add(spk)
+            base = truth.u + truth.V @ speakers_y[spk]
+            for _ in range(cfg.utts_per_slot):
+                rows.append(base + chol @ rng.standard_normal(cfg.dim))
+                utt_ids.append(f"{tag}u{len(utt_ids):07d}")
+                conv_ids.append(f"{tag}c{c:05d}")
+                slots.append(slot)
+                spk_ids.append(f"{tag}s{spk:06d}")
+    return utt_ids, conv_ids, slots, spk_ids, np.array(rows).reshape(-1, cfg.dim)
+
+
 def local_class(record):
     """The local class id of a record, as ``build_local_view`` names it."""
     return _local_class(record.conv_id, record.slot)

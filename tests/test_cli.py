@@ -459,6 +459,37 @@ class TestNotUtf8:
                             bad, [report, scores])
 
 
+class TestNegativeSeed:
+    """A seed numpy cannot take exits 2 with the module's message and
+    leaves no output."""
+
+    def check(self, capsys, code, out):
+        assert code == 2
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert list(out.parent.glob(f"{out.name}*")) == []
+
+    def test_synth(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        self.check(capsys, run("synth", "--dim", 3, "--latent", 1, "--conversations", 4,
+                               "--seed", -1, "--out", out), out)
+
+    def test_train(self, corpus_file, tmp_path, capsys):
+        out = tmp_path / "m.plda"
+        self.check(capsys, run("train", "--data", corpus_file, "--labels", "local",
+                               "--q", 2, "--iters", 2, "--seed", -1, "--model", out), out)
+
+    def test_sweep(self, scored_setup, corpus_file, tmp_path, capsys):
+        _, enroll_path, test_path = scored_setup
+        local = tmp_path / "local.csv"
+        assert run("synth", "--dim", 4, "--latent", 2, "--conversations", 30,
+                   "--slots", 2, "--utts", 2, "--seed", 11, "--out", local) == 0
+        out = tmp_path / "grid.csv"
+        self.check(capsys, run("sweep", "--data", f"{corpus_file},{local}",
+                               "--enroll", enroll_path, "--test", test_path,
+                               "--grid-global", "0,20", "--grid-local", 20, "--q", 2,
+                               "--iters", 2, "--seed", -1, "--report", out), out)
+
+
 class TestTopLevel:
     def test_no_command_is_usage_error(self):
         assert cli.main([]) == 1

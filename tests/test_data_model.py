@@ -196,11 +196,50 @@ class TestPooledView:
         with pytest.raises(PoolingError):
             build_pooled_view(g, l)
 
+    def test_member_in_two_classes_of_a_part_rejected(self):
+        from plda_local.data_model import LabelView
+        g = LabelViewFixture.global_view(2)
+        g.classes["s1"] = ("gu0a",)  # a part changed after it was checked
+        with pytest.raises(LabelingError, match="global view"):
+            build_pooled_view(g, LabelViewFixture.local_view(2))
+
     def test_corpus_scale_pooled_counts(self):
         from plda_local.data_model import LabelView
         g = LabelView("global", {f"s{i}": (f"gu{i}",) for i in range(6000)})
         l = LabelView("local", {f"c{i}:0": (f"lu{i}",) for i in range(5532)})
         assert build_pooled_view(g, l).n_classes == 11532
+
+
+class TestLabelViewChecks:
+    """A view built directly checks every member; views the package builds
+    from checked parts do not check again."""
+
+    def test_member_in_two_classes_rejected(self):
+        from plda_local.data_model import LabelView
+        with pytest.raises(LabelingError, match="u2 appears in two classes"):
+            LabelView("local", {"c1:0": ("u1", "u2"), "c2:0": ("u3", "u2")})
+
+    def test_empty_class_rejected(self):
+        from plda_local.data_model import LabelView
+        with pytest.raises(LabelingError, match="empty"):
+            LabelView("global", {"A": ("u1",), "B": ()})
+
+    def test_unknown_strategy_rejected(self):
+        from plda_local.data_model import LabelView
+        with pytest.raises(LabelingError, match="strategy"):
+            LabelView("speaker", {})
+
+    def test_builders_check_no_member_again(self, monkeypatch):
+        from plda_local.data_model import LabelView
+        a = corpus(seed=3, dim=3, q=1, nconv=20, slots=2, utts=2, rho=0.3)
+        b = corpus(seed=4, dim=3, q=1, nconv=20, slots=2, utts=2, rho=0.3)
+        monkeypatch.setattr(LabelView, "__post_init__",
+                            lambda self: pytest.fail("view checked again"))
+        g, l = build_global_view(a), build_local_view(b)
+        pooled = build_pooled_view(g, l)
+        sub = eval_harness._draw_classes(np.random.default_rng(0), 5, g, sorted(g.classes))
+        assert member_count(pooled) == len(a) + len(b)
+        assert sub.n_classes == 5
 
 
 class LabelViewFixture:

@@ -427,6 +427,11 @@ class TestRunStrategy:
 
 
 class TestRunSweep:
+    @pytest.mark.parametrize("seed", [-1, "0"])
+    def test_base_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(EvalError, match="base_seed"):
+            SweepSpec(axis_global=(0,), axis_local=(10,), repeats=1, base_seed=seed)
+
     def test_zero_zero_rejected(self):
         g, l, split = _strategy_fixture(4)
         cfg = StrategyConfig(latent_dim=2, iterations=5, seed=4)

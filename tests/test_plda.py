@@ -205,6 +205,11 @@ class TestTrainEm:
             < 0.10
         )
 
+    @pytest.mark.parametrize("seed", [-1, 2.0])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(PldaError, match="seed"):
+            TrainConfig(latent_dim=1, iterations=5, seed=seed)
+
     def test_needs_two_classes(self):
         data = corpus(seed=2, dim=3, q=1, nconv=1, slots=1, utts=5)
         view = build_global_view(data)
