@@ -44,50 +44,34 @@ def estep_stats(A, sizes, bounds, F):
 
 
 def score_trials(alpha, U, cidx, AT, beta, trials):
-    """Builds the model x test score block a chunk of models at a time (one
-    GEMM each). A product's chunk is written straight into its rows of the
-    output. A keyed set reads every trial's score from its model's chunk,
-    so a sparse key over many models and tests never needs the whole block:
-    a chunk whose trials touch at most half of the tests computes only their
-    columns; one that touches more computes them all, as a product does,
-    since gathering the columns would save little."""
+    """Builds the model x test score block a chunk of models at a time, one
+    GEMM of the chunk against every test each. A product's chunk is written
+    straight into its rows of the output; a keyed set gathers its trials
+    from its models' chunk and skips a chunk with none. Both fill a chunk
+    the same way, so a keyed set over a product's model and test lists gets
+    the product's bits for every pair it holds."""
     out = np.empty(len(trials))
     if not len(out):
         return out
     n_models, n_tests = len(alpha), AT.shape[0]
     step = max(1, _BLOCK // n_tests)
-    if trials.is_product:
-        grid = out.reshape(n_models, n_tests)
-        for a in range(0, n_models, step):
-            block = grid[a:a + step]
-            np.take(beta, cidx[a:a + step], axis=0, out=block)
-            block += alpha[a:a + step, None]
-            block += U[a:a + step] @ AT.T
-        return out
-    pm, pt = trials.model_idx, trials.test_idx
-    order = np.argsort(pm, kind="stable")
-    # order[starts[m]:starts[m + 1]] are the trials of model m
-    starts = np.concatenate([[0], np.cumsum(np.bincount(pm, minlength=n_models))])
+    if not trials.is_product:
+        pm, pt = trials.model_idx, trials.test_idx
+        order = np.argsort(pm, kind="stable")
+        # order[starts[m]:starts[m + 1]] are the trials of model m
+        starts = np.concatenate([[0], np.cumsum(np.bincount(pm, minlength=n_models))])
     for a in range(0, n_models, step):
         b = min(a + step, n_models)
-        sel = order[starts[a]:starts[b]]
-        if not len(sel):
-            continue
-        rows, cols = pm[sel] - a, pt[sel]
-        tests = None
-        if len(sel) < (b - a) * n_tests:  # not every pair of the chunk is a trial
-            touched = np.zeros(n_tests, dtype=bool)
-            touched[cols] = True
-            if 2 * np.count_nonzero(touched) <= n_tests:
-                tests = np.flatnonzero(touched)
-        if tests is None:
-            block = beta[cidx[a:b]]
-            block += alpha[a:b, None]
-            block += U[a:b] @ AT.T
+        if trials.is_product:  # the chunk's rows of the output
+            block = out[a * n_tests:b * n_tests].reshape(b - a, n_tests)
         else:
-            block = beta[cidx[a:b, None], tests]
-            block += alpha[a:b, None]
-            block += U[a:b] @ AT[tests].T
-            cols = np.searchsorted(tests, cols)
-        out[sel] = block[rows, cols]
+            sel = order[starts[a]:starts[b]]
+            if not len(sel):
+                continue
+            block = np.empty((b - a, n_tests))
+        np.take(beta, cidx[a:b], axis=0, out=block)
+        block += alpha[a:b, None]
+        block += U[a:b] @ AT.T
+        if not trials.is_product:
+            out[sel] = block[pm[sel] - a, pt[sel]]
     return out

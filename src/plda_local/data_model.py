@@ -705,6 +705,8 @@ def read_dataset(path) -> Dataset:
         raise ParseError(f"{path}: line 1: malformed dimension {lines[0]!r}") from None
     if dim <= 0:
         raise ParseError(f"{path}: line 1: dimension must be positive")
+    if dim > np.iinfo(np.intp).max // 8:
+        raise ParseError(f"{path}: line 1: dimension {dim} too large")
 
     utt_ids, conv_ids, slots, spks = [], [], [], []
     where = []  # index in ``lines`` of each row
@@ -716,7 +718,9 @@ def read_dataset(path) -> Dataset:
             continue
         # a row is split here only up to its components, so the field count
         # is checked where they are parsed; fields split off a line hold no
-        # ',' or line break, so these tests are the whole of _check_fields
+        # ',' or line break, so these tests are the whole of _check_fields.
+        # A row's 4 + dim fields are non-empty, so a shorter line is faulty,
+        # and the matrix never holds more values than the text has characters
         try:
             utt, conv, slot, spk, _ = line.split(",", 4)
             slot = int(slot)
@@ -725,7 +729,7 @@ def read_dataset(path) -> Dataset:
         else:
             spk = None if spk == MISSING else spk
             ok = (utt not in seen and utt and conv and ":" not in conv and slot >= 0
-                  and spk != "")
+                  and spk != "" and len(line) >= 2 * dim + 7)
         if not ok:
             try:
                 _check_line(line, dim, seen)

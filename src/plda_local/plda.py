@@ -71,7 +71,10 @@ class PldaModel:
         if rel > 1e-10:
             raise PldaError(f"Sigma asymmetric (relative {rel:.2e})")
         S = 0.5 * (S + S.T)
-        logdet_sigma, _, G, F = _sigma_terms(S, V)
+        with np.errstate(over="ignore", invalid="ignore"):
+            logdet_sigma, _, G, F = _sigma_terms(S, V)
+        if not (np.all(np.isfinite(G)) and np.all(np.isfinite(F))):
+            raise PldaError("V' Sigma^-1 or V' Sigma^-1 V is not finite")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "V", V)
         object.__setattr__(self, "Sigma", S)
@@ -333,28 +336,24 @@ def save_model(model: PldaModel, pp: Preprocessor, path) -> None:
 
 
 def _parse_rows(lines, start, n_rows, n_cols, path, section):
-    vals = np.empty((n_rows, n_cols))
-    for i in range(n_rows):
-        idx = start + i
-        if idx >= len(lines):
-            raise ModelFormatError(f"{path}: section {section!r} truncated")
-        parts = [p for p in lines[idx].split(",") if p != ""] if n_cols else []
-        if n_cols == 0:
-            if lines[idx].strip():
-                raise ModelFormatError(f"{path}: section {section!r}: expected empty row")
-            continue
+    """The matrix on lines start.., allocated once all its rows parse."""
+    rows = []
+    for i, line in enumerate(lines[start:start + n_rows]):
+        if n_cols == 0 and line.strip():
+            raise ModelFormatError(f"{path}: section {section!r}: expected empty row")
+        parts = [p for p in line.split(",") if p != ""] if n_cols else []
         if len(parts) != n_cols:
             raise ModelFormatError(
                 f"{path}: section {section!r} row {i}: expected {n_cols} values, "
                 f"got {len(parts)}"
             )
         try:
-            vals[i] = [float(p) for p in parts]
+            rows.append([float(p) for p in parts])
         except ValueError:
             raise ModelFormatError(
                 f"{path}: section {section!r} row {i}: non-numeric value"
             ) from None
-    return vals, start + n_rows
+    return np.array(rows, dtype=np.float64).reshape(n_rows, n_cols), start + n_rows
 
 
 def load_model(path):
@@ -368,9 +367,16 @@ def load_model(path):
         q = int(fields["q"])
     except (ValueError, KeyError):
         raise ModelFormatError(f"{path}: malformed header {lines[0]!r}") from None
-    if d < 1 or q < 0:
-        raise ModelFormatError(f"{path}: header needs dim >= 1 and q >= 0, "
+    if d < 1 or not 0 <= q <= d:
+        raise ModelFormatError(f"{path}: header needs dim >= 1 and 0 <= q <= dim, "
                                f"got {lines[0]!r}")
+
+    # the header, five section names and 3d + 2 rows, counted before
+    # anything is allocated from the header
+    if len(lines) != 3 * d + 8:
+        raise ModelFormatError(
+            f"{path}: {'truncated' if len(lines) < 3 * d + 8 else 'trailing content'}: "
+            f"a dim={d} model has {3 * d + 8} lines, this file {len(lines)}")
 
     pos = 1
     arrays = {}
@@ -381,7 +387,7 @@ def load_model(path):
         ("pp.mean:", 1, d),
         ("pp.whitener:", d, d),
     ):
-        if pos >= len(lines) or lines[pos] != section:
+        if lines[pos] != section:
             raise ModelFormatError(f"{path}: missing section {section!r}")
         arrays[section], pos = _parse_rows(lines, pos + 1, rows, cols, path, section)
 

@@ -53,11 +53,14 @@ class Preprocessor:
         if v.ndim not in (1, 2) or v.shape[-1] != self.dim:
             raise PreprocessError(
                 f"vectors have shape {v.shape}, expected dimension {self.dim}")
-        centered = (np.atleast_2d(v) - self.mean) @ self.whitener.T
-        norms = np.linalg.norm(centered, axis=1, keepdims=True)
-        if np.any(norms < 1e-12):
-            bad = int(np.argmin(norms))
-            raise PreprocessError(f"degenerate vector at batch index {bad}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            centered = (np.atleast_2d(v) - self.mean) @ self.whitener.T
+            norms = np.linalg.norm(centered, axis=1, keepdims=True)
+        usable = (norms >= 1e-12) & (norms < np.inf)  # NaN is neither
+        if not usable.all():
+            bad = int(np.argmin(usable))
+            raise PreprocessError(f"vector at batch index {bad} has norm {norms[bad, 0]} "
+                                  "after centering and whitening")
         out = centered / norms
         return out[0] if v.ndim == 1 else out
 

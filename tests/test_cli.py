@@ -490,6 +490,86 @@ class TestNegativeSeed:
                                "--iters", 2, "--seed", -1, "--report", out), out)
 
 
+def run_fresh(*args):
+    """The CLI in a fresh interpreter, where a RuntimeWarning is only printed:
+    (exit code, stderr)."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    out = subprocess.run([sys.executable, "-m", "plda_local.cli", *map(str, args)],
+                         env={**os.environ, "PYTHONPATH": src}, stdin=subprocess.DEVNULL,
+                         capture_output=True, text=True, timeout=120)
+    return out.returncode, out.stderr
+
+
+class TestHostileNumbers:
+    """Input the file format allows but no model or score can come from
+    exits 2 with an error naming the file or the fault, and writes nothing."""
+
+    @staticmethod
+    def score(scored_setup, tmp_path, **paths):
+        args = dict(zip(("model", "enroll", "test"), scored_setup), **paths)
+        scores = tmp_path / "scores.csv"
+        code, err = run_fresh("score", "--model", args["model"], "--enroll", args["enroll"],
+                              "--test", args["test"], "--scores", scores)
+        assert code == 2, err
+        assert "Traceback" not in err
+        assert not scores.exists()
+        return err
+
+    # dimensions numpy refuses at once (8 and 16 TiB) if anything were
+    # allocated from the header
+    @pytest.mark.parametrize("header, error", [
+        ("#plda dim=1099511627776 q=0", "truncated: a dim=1099511627776 model has "
+                                        "3298534883336 lines, this file 4"),
+        ("#plda dim=2 q=1099511627776", "header needs dim >= 1 and 0 <= q <= dim"),
+    ])
+    def test_model_header_dimension(self, scored_setup, tmp_path, header, error):
+        bad = tmp_path / "bad.plda"
+        bad.write_text(f"{header}\nu:\n0.0,0.0\nV:\n")
+        assert self.score(scored_setup, tmp_path, model=bad).startswith(f"error: {bad}: {error}")
+
+    def test_model_trailing_content(self, scored_setup, tmp_path):
+        model = scored_setup[0]
+        model.write_text(model.read_text() + "1.0\n")
+        err = self.score(scored_setup, tmp_path)
+        assert err.startswith(f"error: {model}: trailing content: a dim=4 model has 20 lines, "
+                              "this file 21")
+
+    @pytest.mark.parametrize("text", ["#dim=99999999999999999999\n",
+                                      "#dim=1099511627776\nu1,c1,0,A,1.0\n"])
+    def test_corpus_header_dimension(self, scored_setup, tmp_path, text):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        assert self.score(scored_setup, tmp_path, test=bad).startswith(f"error: {bad}: line ")
+
+    @staticmethod
+    def model_text(V, whitener):
+        d = len(whitener)
+        rows = lambda m: "".join(",".join(map(repr, r)) + "\n" for r in m)
+        return (f"#plda dim={d} q={len(V[0])}\nu:\n{rows([[0.0] * d])}V:\n{rows(V)}"
+                f"Sigma:\n{rows(np.eye(d).tolist())}pp.mean:\n{rows([[0.0] * d])}"
+                f"pp.whitener:\n{rows(whitener)}")
+
+    def test_model_whose_terms_overflow(self, scored_setup, tmp_path):
+        # finite u, V and Sigma, but V' Sigma^-1 V is 1e400
+        bad = tmp_path / "bad.plda"
+        bad.write_text(self.model_text([[1e200], [0.0], [0.0], [0.0]], np.eye(4).tolist()))
+        assert self.score(scored_setup, tmp_path, model=bad).startswith(
+            f"error: {bad}: V' Sigma^-1 or V' Sigma^-1 V is not finite")
+
+    def test_whitener_that_overflows(self, scored_setup, tmp_path):
+        bad = tmp_path / "bad.plda"
+        bad.write_text(self.model_text([[1.0], [0.0], [0.0], [0.0]],
+                                       (1e300 * np.eye(4)).tolist()))
+        err = self.score(scored_setup, tmp_path, model=bad)
+        assert "has norm inf after centering and whitening" in err
+
+    def test_test_vector_whose_norm_overflows(self, scored_setup, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("#dim=4\nbig,c1,0,A,1e+308,1e+308,1e+308,1e+308\n")
+        err = self.score(scored_setup, tmp_path, test=bad)
+        assert "has norm inf after centering and whitening" in err
+
+
 class TestTopLevel:
     def test_no_command_is_usage_error(self):
         assert cli.main([]) == 1

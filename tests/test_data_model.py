@@ -286,6 +286,20 @@ class TestFileRoundTrip:
         with pytest.raises(ParseError, match="line 2"):
             read_dataset(p)
 
+    @pytest.mark.parametrize("dim", ["1152921504606846976", "99999999999999999999"])
+    def test_dimension_numpy_cannot_index(self, tmp_path, dim):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"#dim={dim}\n")
+        with pytest.raises(ParseError, match=f"line 1: dimension {dim} too large"):
+            read_dataset(p)
+
+    def test_huge_dimension_with_a_short_row(self, tmp_path):
+        # 2**40 components would take 8 TiB; the row holds one
+        p = tmp_path / "bad.csv"
+        p.write_text("#dim=1099511627776\nu1,c1,0,A,1.0\n")
+        with pytest.raises(ParseError, match="line 2: expected 1099511627780 fields, got 5"):
+            read_dataset(p)
+
     def test_non_numeric_component(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("#dim=2\nu1,c1,0,A,1.0,zzz\n")

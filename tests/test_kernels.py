@@ -158,8 +158,8 @@ class TestScoreTrialset:
 
     def test_sparse_key_memory_stays_far_below_the_full_block(self, monkeypatch):
         # a diagonal key over 4000 x 4000: the whole score block would be 128 MB,
-        # and each chunk of models touches as many tests as it has models, so
-        # it computes a square block, not full rows
+        # and each chunk of models is scored against every test, one chunk of
+        # full rows at a time
         n, d = 4000, 3
         rng = np.random.default_rng(5)
         model = random_model(rng, d, 2)
@@ -176,10 +176,42 @@ class TestScoreTrialset:
             tracemalloc.stop()
         assert peak < n * n * 8 / 4
         step = _kernels._BLOCK // n
-        assert sum(sizes) == sum(min(step, n - a) ** 2 for a in range(0, n, step))
+        assert sizes == [min(step, n - a) * n for a in range(0, n, step)]
         for i in (0, 1234, n - 1):
             assert scores[i] == pytest.approx(
                 dense_llr(model, enroll[f"m{i}"], tests[f"t{i}"]), rel=1e-9, abs=1e-9)
+
+
+class TestKeyedGetsProductBits:
+    """A keyed set over a product's own model and test lists gets, bit for
+    bit, the product's score for every pair it holds, whatever share of the
+    pairs it holds and in whatever order."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(1, 12), st.sampled_from(["0", "1", "d"]),
+           st.integers(1, 16), st.integers(1, 64), st.floats(0.01, 1.0),
+           st.sampled_from(["T", "3T", "default"]), st.integers(0, 2**32 - 1))
+    @example(2, "d", 4, 2, 0.5, "T", 0)  # one model per chunk, one of two tests
+    def test_sparse_keys(self, d, rank, n_models, n_tests, share, block, seed):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, d, {"0": 0, "1": 1, "d": d}[rank])
+        enroll = {f"m{i}": rng.normal(size=(int(rng.integers(1, 5)), d))
+                  for i in range(n_models)}
+        tests = {f"t{j}": rng.normal(size=d) for j in range(n_tests)}
+        target = rng.random((n_models, n_tests)) < 0.3
+        product = TrialSet.product(list(enroll), list(tests), target)
+        held = rng.random((n_models, n_tests)) < share
+        held[rng.random(n_models) < 0.25] = False  # models with no trials
+        pm, pt = np.nonzero(held)
+        order = rng.permutation(len(pm))
+        pm, pt = pm[order], pt[order]
+        keyed = TrialSet(product.model_ids, product.test_utt_ids, pm, pt, target[pm, pt])
+        with pytest.MonkeyPatch.context() as mp:
+            if block != "default":
+                mp.setattr(_kernels, "_BLOCK", {"T": 1, "3T": 3}[block] * n_tests)
+            full = score_trialset(model, enroll, product, tests)
+            got = score_trialset(model, enroll, keyed, tests)
+        assert got.tobytes() == full.reshape(n_models, n_tests)[pm, pt].tobytes()
 
 
 def _keyed_copy(product):

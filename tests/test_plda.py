@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -91,6 +93,14 @@ class TestModelValidation:
     def test_rejects_q_above_d(self):
         with pytest.raises(PldaError):
             PldaModel(u=np.zeros(2), V=np.zeros((2, 3)), Sigma=np.eye(2))
+
+    def test_rejects_overflowing_derived_terms(self):
+        # u, V and Sigma are finite, but V' Sigma^-1 V is 1e400; warnings are
+        # ignored so that the overflow itself cannot raise
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(PldaError, match="not finite"):
+                PldaModel(u=np.zeros(2), V=np.array([[1e200], [0.0]]), Sigma=np.eye(2))
 
     def test_derived_matrices_consistent(self):
         rng = np.random.default_rng(0)
@@ -446,8 +456,20 @@ class TestModelFile:
         with pytest.raises(ModelFormatError, match="truncated"):
             load_model(tmp_path / "cut.plda")
 
+    @pytest.mark.parametrize("extra", ["0.0\n", "\n", "pp.whitener:\n1.0,0.0\n"])
+    def test_content_after_the_last_section_rejected(self, tmp_path, extra):
+        path = tmp_path / "m.plda"
+        save_model(random_model(np.random.default_rng(24), 2, 1),
+                   Preprocessor.identity(2), path)
+        assert len(path.read_text().splitlines()) == 3 * 2 + 8
+        load_model(path)
+        with open(path, "a") as fh:
+            fh.write(extra)
+        with pytest.raises(ModelFormatError, match="trailing content: a dim=2 model has 14 lines"):
+            load_model(path)
+
     @pytest.mark.parametrize("header", ["#plda dim=-4 q=2", "#plda dim=4 q=-1",
-                                        "#plda dim=0 q=0"])
+                                        "#plda dim=0 q=0", "#plda dim=2 q=3"])
     def test_bad_header_dimensions_rejected(self, tmp_path, header):
         path = tmp_path / "bad.plda"
         path.write_text(f"{header}\nu:\n")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,6 +64,22 @@ class TestLengthNormalize:
         pp = Preprocessor(mean=np.array([1.0, 2.0]), whitener=np.eye(2))
         with pytest.raises(PreprocessError):
             pp.apply(np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("mean, scale, bad", [
+        (0.0, 1.0, 1e200),  # the squares overflow
+        (-1e308, 1.0, 1e308),  # the centered vector overflows
+        (0.0, 1e300, 1.0),  # the whitened vector overflows
+    ])
+    def test_non_finite_norm_is_refused(self, mean, scale, bad):
+        # rows 0 and 1 whiten to (0, 1, 1)
+        v = np.full((4, 3), bad)
+        v[:2] = [mean, 1 / scale, 1 / scale]
+        # warnings are ignored so that an overflow itself cannot raise
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            pp = Preprocessor(mean=np.array([mean, 0.0, 0.0]), whitener=scale * np.eye(3))
+            with pytest.raises(PreprocessError, match="index 2 has norm (inf|nan) "):
+                pp.apply(v)
 
     def test_idempotent_direction(self):
         pp = Preprocessor.identity(3)
