@@ -170,10 +170,8 @@ def _cmd_score(ns) -> int:
     enroll = group_by_speaker(read_dataset(ns.enroll))
     test = read_dataset(ns.test)
     enroll_vecs, test_vecs = eval_harness.preprocess_split(pp, enroll, test)
-    trials = eval_harness.generate_trials(
-        sorted(enroll), test,
-        dict(zip(test.utt_ids, (s or "?" for s in test.global_spks)))
-    )
+    trials = eval_harness.generate_trials(sorted(enroll), test,
+                                          dict(zip(test.utt_ids, test.global_spks)))
     scores = plda.score_trialset(model, enroll_vecs, trials, test_vecs)
     eval_harness.write_scores(trials, scores, ns.scores)
     return 0

@@ -8,6 +8,7 @@ differences are purely training-side.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import count
 
 import numpy as np
@@ -123,9 +124,14 @@ def generate_trials(enroll_ids, test: Dataset, key_source: dict) -> TrialSet:
     for tid in test_ids:
         if tid not in key_source:
             raise EvalError(f"test utterance {tid!r} has no true-speaker key")
-    spk = np.array([key_source[t] for t in test_ids])
-    return TrialSet.product(model_ids, test_ids,
-                            np.asarray(model_ids)[:, None] == spk[None, :])
+    # each distinct model id gets one code, a repeated id its last row's;
+    # a speaker who is no model id, None among them, gets -1, which no
+    # model row has
+    code = {m: i for i, m in enumerate(model_ids)}
+    codes = np.fromiter(map(code.__getitem__, model_ids), np.int64, len(model_ids))
+    spk_codes = np.fromiter((code.get(key_source[t], -1) for t in test_ids),
+                            np.int64, len(test_ids))
+    return TrialSet.product(model_ids, test_ids, codes[:, None] == spk_codes[None, :])
 
 
 def _score_sides(target_scores, nontarget_scores):
@@ -136,6 +142,12 @@ def _score_sides(target_scores, nontarget_scores):
     if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(ns))):
         raise EvalError("non-finite score")
     return ts, ns
+
+
+def _rates(n_below, t_below, n_nontarget, n_target):
+    """(FAR, FRR) at thresholds with ``n_below`` nontarget and ``t_below``
+    target scores below them, for counts or arrays of counts."""
+    return 1.0 - n_below / n_nontarget, t_below / n_target
 
 
 def det_curve(target_scores, nontarget_scores):
@@ -165,13 +177,10 @@ def det_curve(target_scores, nontarget_scores):
                         minlength=len(pooled) + 1)
     t_below = np.cumsum(below, out=below)[starts]
     n_below = np.subtract(starts, t_below, out=starts)
-    # the rates are written into the outputs in place: at SRE scale the
-    # curve has one point per trial, and each temporary costs page faults
     far = np.empty(k + 2)
     frr = np.empty(k + 2)
     far[0], frr[0] = 1.0, 0.0
-    np.subtract(1.0, np.divide(n_below, len(ns), out=far[1:-1]), out=far[1:-1])
-    np.divide(t_below, len(ts), out=frr[1:-1])
+    far[1:-1], frr[1:-1] = _rates(n_below, t_below, len(ns), len(ts))
     if thresholds[-1] > pooled[-1]:
         far[-1], frr[-1] = 0.0, 1.0
     else:
@@ -181,7 +190,14 @@ def det_curve(target_scores, nontarget_scores):
 
 def compute_eer(target_scores, nontarget_scores):
     """EER and threshold via linear interpolation at the FAR/FRR crossing
-    of ``det_curve``'s points, found by bisection without building them."""
+    of ``det_curve``'s points, found by bisection without building them.
+
+    The EER is interpolated from the last point where FAR - FRR >= 0 to the
+    point after it. FAR - FRR does not rise from point to point (the rates
+    are rounded monotone functions of counts) and is +1 at the bottom
+    sentinel, so bisection over the sorted scores finds that point, with
+    each point's rates counted by two binary searches.
+    """
     ts, ns = _score_sides(target_scores, nontarget_scores)
     pooled = np.concatenate([ts, ns])
     pooled.sort()
@@ -197,16 +213,8 @@ def compute_eer(target_scores, nontarget_scores):
             return v + 1.0, 0.0, 1.0
         below = int(np.searchsorted(pooled, v, side="left"))
         t_below = int(np.searchsorted(ts, v, side="left"))
-        return v, 1.0 - (below - t_below) / len(ns), t_below / len(ts)
+        return (v, *_rates(below - t_below, t_below, len(ns), len(ts)))
 
-    return _crossing(n, point)
-
-
-def _crossing(n, point):
-    """(eer, threshold) interpolated from the last of points 0..n-1 where
-    FAR - FRR >= 0 to the point after it. point(j) is (threshold, FAR, FRR);
-    FAR - FRR does not rise with j (the rates are rounded monotone
-    functions of counts) and is +1 at point 0, so bisection finds it."""
     lo, hi = 0, n
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -226,27 +234,36 @@ def _crossing(n, point):
 
 @dataclass(frozen=True)
 class EvalReport:
+    """EER, threshold and trial counts of the target and nontarget scores
+    it keeps. Its DET points are counted from those scores the first time
+    they are read, so only a report that is written pays for its curve."""
+
     eer: float
     threshold: float
-    det_points: np.ndarray  # (K, 2) columns (false-alarm rate, miss rate)
-    n_target: int
-    n_nontarget: int
+    target_scores: np.ndarray = field(repr=False)
+    nontarget_scores: np.ndarray = field(repr=False)
+
+    @property
+    def n_target(self) -> int:
+        return len(self.target_scores)
+
+    @property
+    def n_nontarget(self) -> int:
+        return len(self.nontarget_scores)
+
+    @cached_property
+    def det_points(self) -> np.ndarray:
+        """(K, 2) columns (false-alarm rate, miss rate) of ``det_curve``."""
+        _, far, frr = det_curve(self.target_scores, self.nontarget_scores)
+        return np.column_stack([far, frr])
 
 
 def eval_report(scores, target) -> EvalReport:
-    """EER, threshold and DET points of per-trial scores under a target mask,
-    all read off one DET curve."""
-    thresholds, far, frr = det_curve(scores[target], scores[~target])
-    eer, thr = _crossing(len(thresholds) - 1,
-                         lambda j: (thresholds[j], far[j], frr[j]))
-    n_target = int(np.count_nonzero(target))
-    return EvalReport(
-        eer=eer,
-        threshold=thr,
-        det_points=np.column_stack([far, frr]),
-        n_target=n_target,
-        n_nontarget=len(scores) - n_target,
-    )
+    """The EER and threshold of per-trial scores under a target mask, from
+    ``compute_eer``, in a report that keeps the scores of either side."""
+    ts, ns = scores[target], scores[~target]
+    eer, thr = compute_eer(ts, ns)
+    return EvalReport(eer=eer, threshold=thr, target_scores=ts, nontarget_scores=ns)
 
 
 @dataclass(frozen=True)

@@ -67,8 +67,12 @@ class PldaModel:
         for a in (u, V, S):
             if not np.all(np.isfinite(a)):
                 raise PldaError("non-finite model parameters")
-        rel = np.linalg.norm(S - S.T) / max(np.linalg.norm(S), 1e-300)
-        if rel > 1e-10:
+        # scaled to a largest entry of 1, so that no norm of a finite matrix
+        # overflows; a difference that overflows is asymmetry
+        scale = np.max(np.abs(S)) or 1.0
+        with np.errstate(over="ignore"):
+            rel = np.linalg.norm((S - S.T) / scale) / max(np.linalg.norm(S / scale), 1e-300)
+        if not rel <= 1e-10:
             raise PldaError(f"Sigma asymmetric (relative {rel:.2e})")
         S = 0.5 * (S + S.T)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -102,7 +106,11 @@ class PldaModel:
         if hit is not None:
             return hit
         q = self.latent_dim
-        P = np.eye(q) + n * self._F
+        with np.errstate(over="ignore"):
+            P = np.eye(q) + n * self._F
+        # a finite P has eigenvalues >= 1, so a finite inverse and log-determinant
+        if not np.all(np.isfinite(P)):
+            raise PldaError(f"I + n V' Sigma^-1 V overflows at n={n} utterances")
         Q = np.linalg.inv(P)
         logdet = float(np.linalg.slogdet(P)[1])
         self._count_cache[n] = (Q, logdet)

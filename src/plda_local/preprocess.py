@@ -32,8 +32,12 @@ class Preprocessor:
         W = np.asarray(self.whitener, dtype=np.float64)
         if not np.all(np.isfinite(W)) or not np.all(np.isfinite(m)):
             raise PreprocessError("non-finite preprocessor parameters")
-        rel = np.linalg.norm(W - W.T) / max(np.linalg.norm(W), 1e-300)
-        if rel > 1e-10:
+        # scaled to a largest entry of 1, so that no norm of a finite matrix
+        # overflows; a difference that overflows is asymmetry
+        scale = np.max(np.abs(W)) or 1.0
+        with np.errstate(over="ignore"):
+            rel = np.linalg.norm((W - W.T) / scale) / max(np.linalg.norm(W / scale), 1e-300)
+        if not rel <= 1e-10:
             raise PreprocessError(f"whitener asymmetric (relative {rel:.2e})")
         object.__setattr__(self, "mean", m)
         object.__setattr__(self, "whitener", W)

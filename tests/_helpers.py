@@ -14,7 +14,7 @@ from plda_local.data_model import (
     UtteranceRecord,
     _local_class,
 )
-from plda_local.eval_harness import EvalError
+from plda_local.eval_harness import EvalError, EvalReport
 from plda_local.plda import PldaModel
 from plda_local.synth import SynthConfig, sample_conversations, sample_truth
 
@@ -146,6 +146,16 @@ def write_dataset_rows(data, path):
         f"{r.utt_id},{r.conv_id},{r.slot},{MISSING if r.global_spk is None else r.global_spk},"
         + ",".join(map(repr, r.vector.tolist())) + "\n"
         for r in data.records])
+
+
+def report_with_det(eer, threshold, det_points, n_target, n_nontarget):
+    """An EvalReport of n_target and n_nontarget zero scores that reads and
+    writes the given DET points in place of the curve its scores give: a
+    cached property returns the value already in the instance dict."""
+    report = EvalReport(eer=eer, threshold=threshold, target_scores=np.zeros(n_target),
+                        nontarget_scores=np.zeros(n_nontarget))
+    report.__dict__["det_points"] = np.asarray(det_points)
+    return report
 
 
 def write_report_rows(report, path):
@@ -343,6 +353,13 @@ def cosine_score(a, b) -> float:
     if na < 1e-300 or nb < 1e-300:
         raise ValueError("cosine score of a zero vector")
     return float(a @ b / (na * nb))
+
+
+def target_mask_pairwise(model_ids, test_speakers):
+    """The (models, tests) mask of target trials, one ``==`` per model id
+    and test speaker: the reference for ``generate_trials``' mask."""
+    return np.array([[m == s for s in test_speakers] for m in model_ids],
+                    dtype=bool).reshape(len(model_ids), len(test_speakers))
 
 
 def det_curve_searchsorted(target_scores, nontarget_scores):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from plda_local import cli, eval_harness
-from plda_local.data_model import Dataset, read_dataset, write_dataset
+from plda_local.data_model import Dataset, UtteranceRecord, read_dataset, write_dataset
 from plda_local.eval_harness import compute_eer, read_key, write_key
 from plda_local.eval_harness import TrialSet, generate_trials
 from plda_local.plda import load_model
@@ -542,11 +542,12 @@ class TestHostileNumbers:
         assert self.score(scored_setup, tmp_path, test=bad).startswith(f"error: {bad}: line ")
 
     @staticmethod
-    def model_text(V, whitener):
+    def model_text(V, whitener, Sigma=None):
         d = len(whitener)
+        Sigma = np.eye(d).tolist() if Sigma is None else Sigma
         rows = lambda m: "".join(",".join(map(repr, r)) + "\n" for r in m)
         return (f"#plda dim={d} q={len(V[0])}\nu:\n{rows([[0.0] * d])}V:\n{rows(V)}"
-                f"Sigma:\n{rows(np.eye(d).tolist())}pp.mean:\n{rows([[0.0] * d])}"
+                f"Sigma:\n{rows(Sigma)}pp.mean:\n{rows([[0.0] * d])}"
                 f"pp.whitener:\n{rows(whitener)}")
 
     def test_model_whose_terms_overflow(self, scored_setup, tmp_path):
@@ -562,6 +563,56 @@ class TestHostileNumbers:
                                        (1e300 * np.eye(4)).tolist()))
         err = self.score(scored_setup, tmp_path, model=bad)
         assert "has norm inf after centering and whitening" in err
+
+    @staticmethod
+    def with_block(block):
+        """The 4 x 4 identity with ``block`` as its top left 2 x 2 block."""
+        m = np.eye(4)
+        m[:2, :2] = block
+        return m.tolist()
+
+    def test_asymmetric_sigma_whose_norms_overflow(self, scored_setup, tmp_path):
+        # unscaled, both Frobenius norms overflow and their ratio is NaN
+        bad = tmp_path / "bad.plda"
+        Sigma = self.with_block([[1e300, 1e300], [-1e300, 1e300]])
+        bad.write_text(self.model_text([[1.0], [0.0], [0.0], [0.0]], np.eye(4).tolist(),
+                                       Sigma))
+        assert self.score(scored_setup, tmp_path, model=bad).startswith(
+            f"error: {bad}: Sigma asymmetric (relative 1.41e+00)")
+
+    def test_asymmetric_whitener_whose_norms_overflow(self, scored_setup, tmp_path):
+        bad = tmp_path / "bad.plda"
+        bad.write_text(self.model_text([[1.0], [0.0], [0.0], [0.0]],
+                                       self.with_block([[1e300, 1e300], [0.0, 1e300]])))
+        assert self.score(scored_setup, tmp_path, model=bad).startswith(
+            f"error: {bad}: whitener asymmetric (relative 8.16e-01)")
+
+    @pytest.mark.parametrize("command", ["score", "eval"])
+    def test_count_terms_that_overflow(self, scored_setup, tmp_path, command):
+        # V' Sigma^-1 V is 1e306, so I + n V' Sigma^-1 V is finite for model
+        # B's one enrollment vector and overflows for model A's 1,000
+        model = tmp_path / "big.plda"
+        model.write_text(self.model_text([[1e153], [0.0], [0.0], [0.0]], np.eye(4).tolist()))
+        enroll = tmp_path / "enroll1000.csv"
+        rng = np.random.default_rng(0)
+        write_dataset(Dataset(4, tuple(
+            UtteranceRecord(f"e{i}", f"c{i}", 0, "A" if i else "B", rng.normal(size=4))
+            for i in range(1001))), enroll)
+        test = scored_setup[2]
+        out = tmp_path / "out.csv"
+        if command == "score":
+            args = ("--scores", out)
+        else:
+            key = tmp_path / "key.csv"
+            key.write_text("".join(f"{m},{t},nontarget\n" for m in "AB"
+                                   for t in read_dataset(test).utt_ids[:2]))
+            args = ("--key", key, "--report", out)
+        code, err = run_fresh(command, "--model", model, "--enroll", enroll,
+                              "--test", test, *args)
+        assert code == 2, err
+        assert err.startswith("error: I + n V' Sigma^-1 V overflows at n=1000 utterances")
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_test_vector_whose_norm_overflows(self, scored_setup, tmp_path):
         bad = tmp_path / "bad.csv"

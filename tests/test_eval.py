@@ -9,7 +9,6 @@ from plda_local import data_model, eval_harness
 from plda_local.data_model import Dataset, UtteranceRecord, merge_datasets
 from plda_local.eval_harness import (
     EvalError,
-    EvalReport,
     StrategyConfig,
     SweepSpec,
     TrialSet,
@@ -34,7 +33,9 @@ from _helpers import (
     eer_oracle,
     read_key_rows,
     read_scores,
+    report_with_det,
     scaled_truth,
+    target_mask_pairwise,
     trial_pairs,
 )
 
@@ -69,6 +70,18 @@ class TestGenerateTrials:
         test = tiny_test_set(n=2)
         with pytest.raises(EvalError, match="t1"):
             generate_trials(["m0"], test, {"t0": "m0"})
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.sampled_from(["a", "b", "a\x00", "\x00", ""]), max_size=5),
+           st.lists(st.sampled_from([None, "a", "b", "c", "a\x00", "\x00", ""]), max_size=6))
+    @example(["a", "b", "a"], ["a", None, "c", "b"])  # a repeated model id
+    @example(["a"], ["a\x00"])  # equal as numpy str, not as ids
+    def test_mask_matches_pairwise_oracle(self, model_ids, speakers):
+        test = Dataset(1, tuple(UtteranceRecord(f"t{j}", "c", 0, None, [0.0])
+                                for j in range(len(speakers))))
+        trials = generate_trials(model_ids, test, dict(zip(test.utt_ids, speakers)))
+        want = target_mask_pairwise(model_ids, speakers)
+        assert trials.target.tolist() == want.ravel().tolist()
 
     def test_large_cross_product_counts(self):
         # 1236 models x 3708 tests and 1236 x 2472
@@ -193,6 +206,10 @@ class TestComputeEer:
         report = eval_report(np.array(ts + ns, dtype=np.float64),
                              np.arange(len(ts) + len(ns)) < len(ts))
         assert np.array([report.eer, report.threshold]).tobytes() == want.tobytes()
+        # the DET points the report counts when read are the curve's
+        _, far, frr = det_curve(ts, ns)
+        assert report.det_points.shape == (len(far), 2)
+        assert report.det_points.tobytes() == np.column_stack([far, frr]).tobytes()
 
     @settings(deadline=None, max_examples=200)
     @given(*[st.lists(st.one_of(st.integers(-3, 3), st.integers(-8000, 8000))
@@ -388,6 +405,19 @@ class TestRunStrategy:
             rep = run_strategy(strat, g, l, split.enroll, split.test, cfg)
             assert rep.eer < 0.5
 
+    def test_counts_no_det_curve(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("det_curve was called")
+
+        monkeypatch.setattr(eval_harness, "det_curve", refuse)
+        g, l, split = _strategy_fixture(0)
+        cfg = StrategyConfig(latent_dim=2, iterations=2, seed=0)
+        for strat in ("cosine", "GT", "LT", "Pool"):
+            rep = run_strategy(strat, g, l, split.enroll, split.test, cfg)
+            assert 0.0 <= rep.eer <= 1.0
+        with pytest.raises(AssertionError, match="det_curve was called"):
+            rep.det_points
+
     def test_missing_data_for_strategy(self):
         g, l, split = _strategy_fixture(2)
         cfg = StrategyConfig(latent_dim=2, iterations=5, seed=2)
@@ -486,7 +516,7 @@ class TestRunSweep:
 
 class TestReportFiles:
     def test_eval_report_round_trip(self, tmp_path):
-        rep = EvalReport(
+        rep = report_with_det(
             eer=0.0123456789012345,
             threshold=1.5,
             det_points=np.array([[1.0, 0.0], [0.5, 0.25], [0.0, 1.0]]),
@@ -512,8 +542,8 @@ class TestReportFiles:
         # runs of equal values, 0.0 beside -0.0, and chunks of two rows,
         # so runs cross chunk boundaries
         monkeypatch.setattr(data_model, "_CHUNK", 2)
-        rep = EvalReport(eer=0.25, threshold=0.0, det_points=np.array(det),
-                         n_target=1, n_nontarget=1)
+        rep = report_with_det(eer=0.25, threshold=0.0, det_points=np.array(det),
+                              n_target=1, n_nontarget=1)
         path = tmp_path / "rep.csv"
         write_report(rep, path)
         det_text = path.read_text().split("det_far,det_miss\n")[1]

@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 
 from plda_local import data_model
 from plda_local.data_model import Dataset, UtteranceRecord, format_float, write_dataset
-from plda_local.eval_harness import EvalReport, TrialSet, write_key, write_report, write_scores
+from plda_local.eval_harness import TrialSet, write_key, write_report, write_scores
 from plda_local.plda import save_model
 from plda_local.preprocess import Preprocessor
 from _helpers import (
     random_model,
+    report_with_det,
     save_model_rows,
     write_dataset_rows,
     write_key_rows,
@@ -150,8 +151,8 @@ class TestFilesAgainstRowWriters:
     @settings(deadline=None, max_examples=40)
     @given(st.lists(st.tuples(ANY, ANY), min_size=1, max_size=40), FINITE, FINITE, SETTINGS)
     def test_det_report(self, points, eer, threshold, settings_):
-        report = EvalReport(eer=eer, threshold=threshold, det_points=np.array(points),
-                            n_target=3, n_nontarget=len(points))
+        report = report_with_det(eer=eer, threshold=threshold, det_points=np.array(points),
+                                 n_target=3, n_nontarget=len(points))
         same_bytes(lambda p: write_report(report, p),
                    lambda p: write_report_rows(report, p), settings_)
 

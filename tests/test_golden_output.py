@@ -17,7 +17,6 @@ from plda_local.eval_harness import (
     SweepGrid,
     TrialSet,
     compute_eer,
-    det_curve,
     write_key,
     write_report,
     write_scores,
@@ -93,9 +92,7 @@ def corpus_case():
 def eval_report(trials, scores):
     ts, ns = scores[trials.target], scores[~trials.target]
     eer, thr = compute_eer(ts, ns)
-    _, far, frr = det_curve(ts, ns)
-    return EvalReport(eer=eer, threshold=thr, det_points=np.column_stack([far, frr]),
-                      n_target=trials.n_target, n_nontarget=trials.n_nontarget)
+    return EvalReport(eer=eer, threshold=thr, target_scores=ts, nontarget_scores=ns)
 
 
 def sha(path):

@@ -86,6 +86,19 @@ class TestModelValidation:
         with pytest.raises(PldaError):
             PldaModel(u=np.zeros(2), V=np.zeros((2, 1)), Sigma=S)
 
+    # unscaled, the Frobenius norms of these overflow
+    @pytest.mark.parametrize("S, symmetric", [
+        ([[1e300, 1e300], [-1e300, 1e300]], False),
+        ([[1e308, 1e308], [-1e308, 1e308]], False),  # S - S' overflows
+        ([[1e200, 1e190], [1e190 * (1 + 1e-12), 1e200]], True),  # relative 1e-22
+    ])
+    def test_symmetry_at_huge_scale(self, S, symmetric):
+        if symmetric:
+            PldaModel(u=np.zeros(2), V=np.zeros((2, 1)), Sigma=np.array(S))
+        else:
+            with pytest.raises(PldaError, match="Sigma asymmetric"):
+                PldaModel(u=np.zeros(2), V=np.zeros((2, 1)), Sigma=np.array(S))
+
     def test_rejects_indefinite_sigma(self):
         with pytest.raises(PldaError):
             PldaModel(u=np.zeros(2), V=np.zeros((2, 1)), Sigma=np.diag([1.0, -1.0]))

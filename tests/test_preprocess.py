@@ -53,6 +53,21 @@ class TestFit:
         np.testing.assert_array_equal(pp.whitener, np.eye(3))
 
 
+class TestWhitenerSymmetry:
+    # unscaled, the Frobenius norms of these overflow
+    @pytest.mark.parametrize("W, symmetric", [
+        ([[1e300, 1e300], [0.0, 1e300]], False),
+        ([[1e308, 1e308], [-1e308, 1e308]], False),  # W - W' overflows
+        ([[1e200, 1e190], [1e190 * (1 + 1e-12), 1e200]], True),  # relative 1e-22
+    ])
+    def test_at_huge_scale(self, W, symmetric):
+        if symmetric:
+            Preprocessor(mean=np.zeros(2), whitener=np.array(W))
+        else:
+            with pytest.raises(PreprocessError, match="whitener asymmetric"):
+                Preprocessor(mean=np.zeros(2), whitener=np.array(W))
+
+
 class TestLengthNormalize:
     def test_three_four_five(self):
         pp = Preprocessor.identity(2)
