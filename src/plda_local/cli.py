@@ -16,7 +16,6 @@ from .data_model import (
     build_local_view,
     build_pooled_view,
     group_by_speaker,
-    merge_datasets,
     read_dataset,
     write_dataset,
 )
@@ -123,18 +122,15 @@ def _cmd_synth(ns) -> int:
 
 def _load_train_material(data_arg: str, labels: str):
     paths = data_arg.split(",")
+    strategy = {"global": "GT", "local": "LT", "pooled": "Pool"}[labels]
     if labels == "pooled" and len(paths) == 2:
-        g = read_dataset(paths[0])
-        l = read_dataset(paths[1])
-        view = build_pooled_view(build_global_view(g), build_local_view(l))
-        return merge_datasets(g, l), view
+        return eval_harness._training_material(strategy, read_dataset(paths[0]),
+                                               read_dataset(paths[1]))
     if len(paths) != 1:
         raise UsageError(f"--labels {labels} takes a single --data path")
     data = read_dataset(paths[0])
-    if labels == "global":
-        return data, build_global_view(data)
-    if labels == "local":
-        return data, build_local_view(data)
+    if labels != "pooled":  # GT reads only the global part, LT only the local
+        return eval_harness._training_material(strategy, data, data)
     # pooled from one file: globally labeled records form the global part,
     # unlabeled records the local part
     g_utts = [u for u, s in zip(data.utt_ids, data.global_spks) if s is not None]
@@ -169,10 +165,10 @@ def _cmd_score(ns) -> int:
     model, pp = plda.load_model(ns.model)
     enroll = group_by_speaker(read_dataset(ns.enroll))
     test = read_dataset(ns.test)
-    enroll_vecs, test_vecs = eval_harness.preprocess_split(pp, enroll, test)
+    E, counts, T = eval_harness.preprocess_split(pp, enroll, test)
     trials = eval_harness.generate_trials(sorted(enroll), test,
                                           dict(zip(test.utt_ids, test.global_spks)))
-    scores = plda.score_trialset(model, enroll_vecs, trials, test_vecs)
+    scores = plda.score_trialset(model, E, counts, trials, T)
     eval_harness.write_scores(trials, scores, ns.scores)
     return 0
 
@@ -180,10 +176,12 @@ def _cmd_score(ns) -> int:
 def _cmd_eval(ns) -> int:
     _check_distinct(ns.model, ns.enroll, ns.test, ns.key, ns.report, ns.scores)
     model, pp = plda.load_model(ns.model)
-    enroll_vecs, test_vecs = eval_harness.preprocess_split(
-        pp, group_by_speaker(read_dataset(ns.enroll)), read_dataset(ns.test))
-    trials = eval_harness.read_key(ns.key)
-    scores = plda.score_trialset(model, enroll_vecs, trials, test_vecs)
+    enroll, test = group_by_speaker(read_dataset(ns.enroll)), read_dataset(ns.test)
+    model_ids, test_ids = sorted(enroll), test.utt_ids
+    E, counts, T = eval_harness.preprocess_split(pp, enroll, test)
+    del enroll, test  # not held while the key is read
+    trials = eval_harness.read_key(ns.key, model_ids, test_ids)
+    scores = plda.score_trialset(model, E, counts, trials, T)
     # everything that can reject the data runs before the first output
     report = eval_harness.eval_report(scores, trials.target)
     if ns.scores:

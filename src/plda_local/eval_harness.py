@@ -101,16 +101,20 @@ class TrialSet:
         return self.model_idx[start:stop], self.test_idx[start:stop]
 
     @classmethod
-    def from_pairs(cls, model_ids, test_ids, target) -> "TrialSet":
-        """Build from parallel columns: trial i pairs model_ids[i] with
-        test_ids[i] and is a target trial where target[i] is true. Ids are
-        numbered in order of first appearance."""
-        mpos = dict(zip(dict.fromkeys(model_ids), count()))
-        tpos = dict(zip(dict.fromkeys(test_ids), count()))
-        return cls(mpos, tpos,
-                   np.fromiter(map(mpos.__getitem__, model_ids), np.int64, len(model_ids)),
-                   np.fromiter(map(tpos.__getitem__, test_ids), np.int64, len(test_ids)),
-                   target)
+    def from_pairs(cls, model_ids, test_utt_ids, pair_models, pair_tests,
+                   target) -> "TrialSet":
+        """Build over the id lists ``model_ids`` and ``test_utt_ids`` from
+        parallel columns: trial i pairs pair_models[i] with pair_tests[i] and
+        is a target trial where target[i] is true. An id in no list raises."""
+        idx = []
+        for ids, col, what in ((model_ids, pair_models, "enroll model id"),
+                               (test_utt_ids, pair_tests, "test utt_id")):
+            pos = dict(zip(ids, count()))
+            try:
+                idx.append(np.fromiter(map(pos.__getitem__, col), np.int64, len(col)))
+            except KeyError as e:
+                raise EvalError(f"unresolved {what} {e.args[0]!r}") from None
+        return cls(model_ids, test_utt_ids, *idx, target)
 
 
 def generate_trials(enroll_ids, test: Dataset, key_source: dict) -> TrialSet:
@@ -314,16 +318,14 @@ def preprocess_split(pp, enroll: dict, test: Dataset):
     """An enrollment/test split's vectors after one ``pp.apply`` per side.
 
     ``enroll`` maps model id to its records. Returns ``score_trialset``'s
-    inputs: {model id: its rows}, in sorted model order, and {test utt_id:
-    its row}.
+    inputs: the enrollment rows model by model in sorted model order, each
+    model's row count, and the test rows in corpus order.
     """
     model_ids = sorted(enroll)
+    counts = np.array([len(enroll[m]) for m in model_ids], dtype=np.int64)
     rows = [r.vector for m in model_ids for r in enroll[m]]
     E = pp.apply(np.stack(rows) if rows else np.empty((0, pp.dim)))
-    T = pp.apply(test.vectors())
-    cuts = np.cumsum([len(enroll[m]) for m in model_ids[:-1]], dtype=np.int64)
-    return (dict(zip(model_ids, np.split(E, cuts))),
-            dict(zip(test.utt_ids, T)))
+    return E, counts, pp.apply(test.vectors())
 
 
 def _train_and_score(train_data, view, cfg: StrategyConfig, eval_enroll, eval_test,
@@ -338,17 +340,16 @@ def _train_and_score(train_data, view, cfg: StrategyConfig, eval_enroll, eval_te
     del covered  # a copy of the rows; not held while training
     model = (None if view is None
              else train_em(train_data, view, pp, cfg.train_config())[0])
-    enroll_vecs, test_vecs = preprocess_split(pp, eval_enroll, eval_test)
+    E, counts, T = preprocess_split(pp, eval_enroll, eval_test)
     if model is not None:
-        return plda.score_trialset(model, enroll_vecs, trials, test_vecs)
+        return plda.score_trialset(model, E, counts, trials, T)
     # cosine of the mean enrollment direction and the test vector: the PLDA
     # score kernel with zero offsets
-    U = np.stack([enroll_vecs[m].mean(axis=0) for m in trials.model_ids])
+    U = np.add.reduceat(E, np.cumsum(counts) - counts, axis=0) / counts[:, None]
     U /= np.linalg.norm(U, axis=1, keepdims=True)
-    AT = np.stack([test_vecs[t] for t in trials.test_utt_ids])
     M = len(U)
-    return _kernels.score_trials(np.zeros(M), U, np.zeros(M, dtype=np.int64), AT,
-                                 np.zeros((1, len(AT))), trials)
+    return _kernels.score_trials(np.zeros(M), U, np.zeros(M, dtype=np.int64), T,
+                                 np.zeros((1, len(T))), trials)
 
 
 def run_strategy(strategy, global_data, local_data, eval_enroll, eval_test,
@@ -505,13 +506,16 @@ def _one_row_per_line(rows: str) -> bool:
     return seps == b",,\n" * rows.count("\n") + b",,"
 
 
-def read_key(path) -> TrialSet:
-    """The TrialSet of a key file: rows model_id,test_utt_id,target|nontarget.
+def read_key(path, model_ids, test_utt_ids) -> TrialSet:
+    """The TrialSet of a key file, rows model_id,test_utt_id,target|nontarget,
+    numbered over the enrollment's ``model_ids`` and the test corpus's
+    ``test_utt_ids``, as ``generate_trials`` numbers a product.
 
     A first line whose last field is not a label is a header, and blank
     lines are skipped. The rows are checked and split as columns; a faulty
     file is then scanned row by row for the error naming its first faulty
-    line, and repeated pairs are refused by TrialSet.
+    line. A model or test id missing from its list, and repeated pairs,
+    are refused by TrialSet.
     """
     text = _read_text(path, EvalError)
     end = text.find("\n")  # of the first line
@@ -527,7 +531,7 @@ def read_key(path) -> TrialSet:
     if labels.count("target") + labels.count("nontarget") != len(labels):
         _raise_first_faulty_row(path, text)
     target = np.fromiter(map(_LABELS[0].__eq__, labels), bool, len(labels))
-    return TrialSet.from_pairs(fields[0::3], fields[1::3], target)
+    return TrialSet.from_pairs(model_ids, test_utt_ids, fields[0::3], fields[1::3], target)
 
 
 def _raise_first_faulty_row(path, text):

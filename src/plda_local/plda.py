@@ -166,34 +166,24 @@ def score_llr(model: PldaModel, enroll, test) -> float:
     )
 
 
-def score_trialset(model: PldaModel, enroll_models: dict, trials,
-                   test_vectors: dict) -> np.ndarray:
+def score_trialset(model: PldaModel, enroll, counts, trials, test) -> np.ndarray:
     """Scores for every trial in a TrialSet, in trial order.
 
-    enroll_models maps model id to its list of enrollment vectors;
-    test_vectors maps test utt_id to its vector. All vectors must be
-    preprocessed identically to training.
+    ``enroll`` holds the enrollment rows model by model, ``counts[m]`` of
+    them for trials.model_ids[m]; ``test`` holds one row per test of
+    trials.test_utt_ids, in that order. All rows must be preprocessed
+    identically to training.
     """
     q = model.latent_dim
-    model_ids = trials.model_ids
-    test_ids = trials.test_utt_ids
-    for mid in model_ids:
-        if mid not in enroll_models:
-            raise PldaError(f"unresolved enroll model id {mid!r}")
-    for tid in test_ids:
-        if tid not in test_vectors:
-            raise PldaError(f"unresolved test utt_id {tid!r}")
-
-    groups = [np.atleast_2d(np.asarray(enroll_models[m], dtype=np.float64))
-              for m in model_ids]
-    counts = np.array([len(g) for g in groups], dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
     if np.any(counts < 1):
         raise PldaError("empty enrollment set")
-    Mn, empty = len(model_ids), np.empty((0, model.dim))
-    AE = model.project(np.stack([np.sum(g - model.u, axis=0) for g in groups])
-                       if Mn else empty)
-    AT = model.project((np.stack([test_vectors[t] for t in test_ids])
-                        if test_ids else empty) - model.u)
+    if (len(counts), counts.sum(), len(test)) != (
+            len(trials.model_ids), len(enroll), len(trials.test_utt_ids)):
+        raise PldaError("enrollment and test rows do not match the trial set's ids")
+    Mn = len(counts)
+    AE = model.project(np.add.reduceat(enroll - model.u, np.cumsum(counts) - counts, axis=0))
+    AT = model.project(test - model.u)
 
     Q1, L1 = model.count_terms(1)
     distinct, cidx = np.unique(counts, return_inverse=True)

@@ -15,7 +15,7 @@ from plda_local.data_model import (
     _local_class,
 )
 from plda_local.eval_harness import EvalError, EvalReport
-from plda_local.plda import PldaModel
+from plda_local.plda import PldaModel, score_trialset
 from plda_local.synth import SynthConfig, sample_conversations, sample_truth
 
 
@@ -101,6 +101,15 @@ def trial_pairs(trials):
     mi, ti = trial_indices(trials, 0, len(trials))
     return list(zip(map(trials.model_ids.__getitem__, mi),
                     map(trials.test_utt_ids.__getitem__, ti)))
+
+
+def score_from_dicts(model, enroll, trials, tests):
+    """``score_trialset`` over {model id: its rows} and {test id: its row},
+    stacked in the trial set's id order."""
+    groups = [np.atleast_2d(enroll[m]) for m in trials.model_ids]
+    E = np.concatenate(groups) if groups else np.empty((0, model.dim))
+    T = np.array([tests[t] for t in trials.test_utt_ids]).reshape(-1, model.dim)
+    return score_trialset(model, E, [len(g) for g in groups], trials, T)
 
 
 def read_scores(path):
@@ -233,10 +242,10 @@ def read_dataset_rows(path):
     return Dataset(dim, tuple(records))
 
 
-def read_key_rows(path):
+def read_key_rows(path, model_ids, test_ids):
     """A key file read one row at a time, the reference for ``read_key``:
-    (model ids, test ids, model index, test index, target) with ids
-    numbered in order of first appearance, or the EvalError it raises."""
+    (model index, test index, target) with ids numbered by their places in
+    ``model_ids`` and ``test_ids``, or the EvalError it raises."""
     labels = ("target", "nontarget")
     pairs = []
     key = {}
@@ -252,22 +261,14 @@ def read_key_rows(path):
                 raise EvalError(f"{path}: line {lineno}: malformed key row")
             pairs.append((parts[0], parts[1]))
             key[(parts[0], parts[1])] = parts[2] == "target"
+    for side, ids, what in ((0, model_ids, "enroll model id"), (1, test_ids, "test utt_id")):
+        for pair in pairs:
+            if pair[side] not in ids:
+                raise EvalError(f"unresolved {what} {pair[side]!r}")
     if len(set(pairs)) != len(pairs):
         raise EvalError("duplicate trial pairs")
-    model_ids, test_ids = [], []
-    mpos, tpos = {}, {}
-    mi, ti, tg = [], [], []
-    for m, t in pairs:
-        if m not in mpos:
-            mpos[m] = len(model_ids)
-            model_ids.append(m)
-        if t not in tpos:
-            tpos[t] = len(test_ids)
-            test_ids.append(t)
-        mi.append(mpos[m])
-        ti.append(tpos[t])
-        tg.append(key[(m, t)])
-    return model_ids, test_ids, mi, ti, tg
+    return ([model_ids.index(m) for m, _ in pairs], [test_ids.index(t) for _, t in pairs],
+            [key[p] for p in pairs])
 
 
 def member_count(view):

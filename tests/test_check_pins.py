@@ -1,4 +1,5 @@
-"""``tools/check_pins.verdict``: when one benchmark run counts as passed."""
+"""``tools/check_pins``: when one benchmark run counts as passed, and which
+command lines start no run."""
 import importlib.util
 import json
 from pathlib import Path
@@ -46,3 +47,24 @@ def test_malformed_json_line():
 def test_only_the_last_line_counts():
     stdout = result(correct=True) + "\n" + "Traceback (most recent call last):\n"
     assert verdict(0, stdout) == "exit 0, no result line"
+
+
+def _no_runs(*args, **kwargs):
+    raise AssertionError("a benchmark run was started")
+
+
+def test_help_prints_usage_and_starts_no_run(monkeypatch, capsys):
+    monkeypatch.setattr(check_pins.subprocess, "run", _no_runs)
+    with pytest.raises(SystemExit) as done:
+        check_pins.main(["--help"])
+    assert done.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ")
+
+
+@pytest.mark.parametrize("argv", [["--seed", "3"], ["strategy"], ["-x"]])
+def test_any_argument_exits_2_and_starts_no_run(monkeypatch, capsys, argv):
+    monkeypatch.setattr(check_pins.subprocess, "run", _no_runs)
+    with pytest.raises(SystemExit) as done:
+        check_pins.main(argv)
+    assert done.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

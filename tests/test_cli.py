@@ -251,7 +251,7 @@ class TestEval:
     def test_report_matches_scores_file(self, scored_setup, tmp_path):
         model_path, enroll_path, test_path = scored_setup
         key_path = tmp_path / "key.csv"
-        self._make_key(enroll_path, test_path, key_path)
+        made = self._make_key(enroll_path, test_path, key_path)
         report_path = tmp_path / "report.csv"
         scores_path = tmp_path / "scores.csv"
         assert run("eval", "--model", model_path, "--enroll", enroll_path,
@@ -261,7 +261,7 @@ class TestEval:
         lines = report_path.read_text().splitlines()
         reported = float(dict(l.split(",") for l in lines[1:5])["eer"])
 
-        trials = read_key(key_path)
+        trials = read_key(key_path, made.model_ids, made.test_utt_ids)
         key = dict(zip(trial_pairs(trials), trials.target.tolist()))
         rows = read_scores(scores_path)
         ts = [s for m, t, s in rows if key[(m, t)]]
@@ -325,6 +325,50 @@ class TestEval:
         assert run("eval", "--model", model_path, "--enroll", enroll_path,
                    "--test", test_path, "--key", key_path,
                    "--report", tmp_path / "r.csv") == 2
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_shuffled_sparse_key_gets_the_score_rows(self, scored_setup, tmp_path, seed):
+        # numbered over the corpora, a key in any row and test order and
+        # with any share of the pairs gets score's bits for every pair
+        model_path, enroll_path, test_path = scored_setup
+        key_path = tmp_path / "key.csv"
+        product = self._make_key(enroll_path, test_path, key_path)
+        lines = key_path.read_text().splitlines()
+        rng = np.random.default_rng(seed)
+        rows = [lines[1 + i] for i in rng.permutation(len(lines) - 1)
+                if rng.random() < 0.3]
+        key_path.write_text("\n".join(rows) + "\n")
+        scores_path, eval_scores = tmp_path / "s.csv", tmp_path / "e.csv"
+        assert run("score", "--model", model_path, "--enroll", enroll_path,
+                   "--test", test_path, "--scores", scores_path) == 0
+        assert run("eval", "--model", model_path, "--enroll", enroll_path,
+                   "--test", test_path, "--key", key_path, "--report",
+                   tmp_path / "r.csv", "--scores", eval_scores) == 0
+        full = {(m, t): s for m, t, s in (
+            line.split(",") for line in scores_path.read_text().splitlines()[1:])}
+        got = [line.split(",") for line in eval_scores.read_text().splitlines()[1:]]
+        assert [(m, t) for m, t, _ in got] == [tuple(r.split(",")[:2]) for r in rows]
+        assert 0 < len(got) < len(product)
+        assert all(s == full[(m, t)] for m, t, s in got)
+
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_key_id_missing_from_the_corpora(self, scored_setup, tmp_path, capsys,
+                                             column):
+        model_path, enroll_path, test_path = scored_setup
+        key_path = tmp_path / "key.csv"
+        self._make_key(enroll_path, test_path, key_path)
+        lines = key_path.read_text().splitlines()
+        fields = lines[5].split(",")
+        fields[column] = "nobody"
+        key_path.write_text("\n".join(lines[:5] + [",".join(fields)] + lines[6:]) + "\n")
+        report_path, scores_path = tmp_path / "r.csv", tmp_path / "s.csv"
+        assert run("eval", "--model", model_path, "--enroll", enroll_path,
+                   "--test", test_path, "--key", key_path,
+                   "--report", report_path, "--scores", scores_path) == 2
+        what = ("enroll model id", "test utt_id")[column]
+        assert f"error: unresolved {what} 'nobody'" in capsys.readouterr().err
+        assert not report_path.exists()
+        assert not scores_path.exists()
 
 
 class TestSweep:

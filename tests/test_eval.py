@@ -276,7 +276,7 @@ class TestTrialSet:
 
     def test_from_pairs_columns_must_have_one_length(self):
         with pytest.raises(EvalError, match="inconsistent lengths"):
-            TrialSet.from_pairs(["m0", "m1"], ["t0"], [True, False])
+            TrialSet.from_pairs(["m0", "m1"], ["t0"], ["m0", "m1"], ["t0"], [True, False])
 
     def test_from_pairs_round_trip(self, tmp_path):
         test = tiny_test_set(n=4)
@@ -284,11 +284,13 @@ class TestTrialSet:
         trials = generate_trials(["m0", "m1"], test, key_src)
         path = tmp_path / "key.csv"
         write_key(trials, path)
-        back = read_key(path)
+        back = read_key(path, ["m0", "m1"], test.utt_ids)
         assert trial_pairs(back) == trial_pairs(trials)
         np.testing.assert_array_equal(back.target, trials.target)
 
 
+KEY_MODELS = ["m0", "m1", "m2", "", " m0"]
+KEY_TESTS = ["t0", "t1", "t2", "t3", ""]
 FAULTY_ROWS = ["m0,t0", "m0,t0,target,x", "m0,t0,maybe", "m0,t0,target ", "target",
                "m0,t0,Target", ",,", "m0,,t0,target", "m0;t0;target"]
 
@@ -299,8 +301,7 @@ def key_texts(draw):
     padded ones too), sometimes a repeated pair with an equal or a
     conflicting label, blank and whitespace lines, LF, CRLF or CR line
     ends, and sometimes a faulty row."""
-    ids = st.tuples(st.sampled_from(["m0", "m1", "m2", "", " m0"]),
-                    st.sampled_from(["t0", "t1", "t2", "t3", ""]))
+    ids = st.tuples(st.sampled_from(KEY_MODELS), st.sampled_from(KEY_TESTS))
     pairs = draw(st.lists(ids, unique=True, max_size=10))
     rows = [f"{m},{t},{draw(st.sampled_from(['target', 'nontarget']))}"
             for m, t in pairs]
@@ -324,23 +325,26 @@ def key_texts(draw):
 class TestReadKey:
     @settings(deadline=None, max_examples=300,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(key_texts())
-    def test_matches_the_row_at_a_time_reader(self, tmp_path, text):
+    @given(key_texts(), *(st.one_of(st.permutations(pool),
+                                    st.lists(st.sampled_from(pool), unique=True))
+                          for pool in (KEY_MODELS, KEY_TESTS)))
+    def test_matches_the_row_at_a_time_reader(self, tmp_path, text, model_ids, test_ids):
+        # the id lists come in any order, and may lack ids the key names
         path = tmp_path / "key.csv"
         path.write_bytes(text.encode())
         try:
-            want = read_key_rows(path)
+            want = read_key_rows(path, model_ids, test_ids)
         except EvalError as e:
             with pytest.raises(EvalError) as got:
-                read_key(path)
+                read_key(path, model_ids, test_ids)
             assert str(got.value) == str(e)
             return
-        trials = read_key(path)
-        assert trials.model_ids == want[0]
-        assert trials.test_utt_ids == want[1]
-        assert trials.model_idx.tolist() == want[2]
-        assert trials.test_idx.tolist() == want[3]
-        assert trials.target.tolist() == want[4]
+        trials = read_key(path, model_ids, test_ids)
+        assert trials.model_ids == model_ids
+        assert trials.test_utt_ids == test_ids
+        assert trials.model_idx.tolist() == want[0]
+        assert trials.test_idx.tolist() == want[1]
+        assert trials.target.tolist() == want[2]
 
     def test_well_formed_keys_are_not_scanned_row_by_row(self, tmp_path, monkeypatch):
         calls = []
@@ -355,14 +359,15 @@ class TestReadKey:
                 for i in range(1000)]
         path = tmp_path / "key.csv"
         path.write_text("model_id,test_utt_id,key\n" + "\n".join(rows) + "\n")
-        assert len(read_key(path)) == 1000
+        ids = [f"m{i}" for i in range(7)], [f"t{i}" for i in range(1000)]
+        assert len(read_key(path, *ids)) == 1000
         # CRLF line ends, no header, blank and whitespace lines
         path.write_bytes(("\r\n".join(rows[:500] + ["", " \t"] + rows[500:])).encode())
-        assert len(read_key(path)) == 1000
+        assert len(read_key(path, *ids)) == 1000
         assert calls == []
         path.write_text("\n".join(rows + ["m0,t0,maybe"]) + "\n")
         with pytest.raises(EvalError, match="line 1001: malformed key row"):
-            read_key(path)
+            read_key(path, *ids)
         assert len(calls) == 1
 
 
@@ -566,8 +571,8 @@ class TestReportFiles:
     def test_scores_round_trip(self, tmp_path):
         path = tmp_path / "s.csv"
         rows = [("m0", "t0", 0.987654321098765), ("m1", "t1", -3.25)]
-        trials = TrialSet.from_pairs([r[0] for r in rows], [r[1] for r in rows],
-                                     [False] * len(rows))
+        trials = TrialSet.from_pairs(["m0", "m1"], ["t0", "t1"], [r[0] for r in rows],
+                                     [r[1] for r in rows], [False] * len(rows))
         write_scores(trials, [r[2] for r in rows], path)
         assert read_scores(path) == rows
 

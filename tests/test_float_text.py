@@ -124,7 +124,7 @@ class TestFilesAgainstRowWriters:
         target = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
         product = TrialSet.product(models, tests, target.reshape(len(models), len(tests)))
         keep = data.draw(st.lists(st.integers(0, n - 1), unique=True))
-        keyed = TrialSet.from_pairs([models[i // len(tests)] for i in keep],
+        keyed = TrialSet.from_pairs(models, tests, [models[i // len(tests)] for i in keep],
                                     [tests[i % len(tests)] for i in keep], target[keep])
         for trials, s in ((product, scores), (keyed, scores[keep])):
             same_bytes(lambda p: write_scores(trials, s, p),
@@ -180,7 +180,7 @@ def test_ids_with_multibyte_and_control_characters(tmp_path, monkeypatch, chunk)
     scores = np.linspace(-3, 3, 16) ** 3
     product = TrialSet.product(models, tests, target)
     picks = [13, 2, 7, 0, 11, 4, 9, 14]  # a shuffled part of the product
-    keyed = TrialSet.from_pairs([models[i // 4] for i in picks],
+    keyed = TrialSet.from_pairs(models, tests, [models[i // 4] for i in picks],
                                 [tests[i % 4] for i in picks], [True, False] * 4)
     corpus = Dataset(2, tuple(
         UtteranceRecord(f"u{i}\x00{m}", f"c\t{i}", i, None if i % 2 else t, [i / 3, -i])

@@ -11,11 +11,11 @@ from plda_local.eval_harness import (
     EvalError,
     TrialSet,
     generate_trials,
+    read_key,
     write_key,
     write_scores,
 )
-from plda_local.plda import score_trialset
-from _helpers import dense_llr, random_model, trial_indices, trial_pairs
+from _helpers import dense_llr, random_model, score_from_dicts, trial_indices, trial_pairs
 
 
 class TestNumpyPath:
@@ -61,12 +61,12 @@ def _sparse_keyed(rng, enroll, tests, share=0.4):
     """A shuffled key over a random share of the model x test pairs."""
     pairs = [(m, t) for m in enroll for t in tests if rng.random() < share]
     pairs = [pairs[i] for i in rng.permutation(len(pairs))]
-    return TrialSet.from_pairs([m for m, _ in pairs], [t for _, t in pairs],
-                               rng.random(len(pairs)) < 0.3)
+    return TrialSet.from_pairs(list(enroll), list(tests), [m for m, _ in pairs],
+                               [t for _, t in pairs], rng.random(len(pairs)) < 0.3)
 
 
 def _assert_matches_oracle(model, enroll, tests, trials):
-    scores = score_trialset(model, enroll, trials, tests)
+    scores = score_from_dicts(model, enroll, trials, tests)
     assert scores.shape == (len(trials),)
     for (mid, tid), s in zip(trial_pairs(trials), scores):
         assert s == pytest.approx(dense_llr(model, enroll[mid], tests[tid]),
@@ -140,7 +140,7 @@ class TestScoreTrialset:
     def test_no_trials(self):
         _, model, enroll, tests = _material(3)
         trials = TrialSet(["m0"], ["t0"], [], [], [])
-        assert score_trialset(model, enroll, trials, tests).shape == (0,)
+        assert score_from_dicts(model, enroll, trials, tests).shape == (0,)
 
     @pytest.mark.parametrize("block", [1, 11, 23, 40])
     def test_spans_model_chunks(self, monkeypatch, block):
@@ -170,7 +170,7 @@ class TestScoreTrialset:
         sizes = _count_score_entries(monkeypatch)
         tracemalloc.start()
         try:
-            scores = score_trialset(model, enroll, trials, tests)
+            scores = score_from_dicts(model, enroll, trials, tests)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -187,12 +187,16 @@ class TestKeyedGetsProductBits:
     bit, the product's score for every pair it holds, whatever share of the
     pairs it holds and in whatever order."""
 
-    @settings(deadline=None, max_examples=100)
+    @settings(deadline=None, max_examples=100,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.integers(1, 12), st.sampled_from(["0", "1", "d"]),
            st.integers(1, 16), st.integers(1, 64), st.floats(0.01, 1.0),
            st.sampled_from(["T", "3T", "default"]), st.integers(0, 2**32 - 1))
     @example(2, "d", 4, 2, 0.5, "T", 0)  # one model per chunk, one of two tests
-    def test_sparse_keys(self, d, rank, n_models, n_tests, share, block, seed):
+    # read back in order of first appearance, this key's models would swap
+    # rows, and their scores would change bits
+    @example(7, "1", 2, 1, 1.0, "T", 0)
+    def test_sparse_keys(self, tmp_path, d, rank, n_models, n_tests, share, block, seed):
         rng = np.random.default_rng(seed)
         model = random_model(rng, d, {"0": 0, "1": 1, "d": d}[rank])
         enroll = {f"m{i}": rng.normal(size=(int(rng.integers(1, 5)), d))
@@ -206,12 +210,20 @@ class TestKeyedGetsProductBits:
         order = rng.permutation(len(pm))
         pm, pt = pm[order], pt[order]
         keyed = TrialSet(product.model_ids, product.test_utt_ids, pm, pt, target[pm, pt])
+        # the same pairs as a key file, whose shuffled rows are read back
+        # over the product's id lists, not in the order tests first appear
+        path = tmp_path / "key.csv"
+        write_key(keyed, path)
+        read = read_key(path, product.model_ids, product.test_utt_ids)
         with pytest.MonkeyPatch.context() as mp:
             if block != "default":
                 mp.setattr(_kernels, "_BLOCK", {"T": 1, "3T": 3}[block] * n_tests)
-            full = score_trialset(model, enroll, product, tests)
-            got = score_trialset(model, enroll, keyed, tests)
-        assert got.tobytes() == full.reshape(n_models, n_tests)[pm, pt].tobytes()
+            full = score_from_dicts(model, enroll, product, tests)
+            got = score_from_dicts(model, enroll, keyed, tests)
+            got_read = score_from_dicts(model, enroll, read, tests)
+        want = full.reshape(n_models, n_tests)[pm, pt].tobytes()
+        assert got.tobytes() == want
+        assert got_read.tobytes() == want
 
 
 def _keyed_copy(product):
@@ -255,8 +267,8 @@ class TestProductMatchesKeyed:
         assert len(product) == n_models * n_tests
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_kernels, "_BLOCK", block)
-            got = score_trialset(model, enroll, product, tests)
-            want = score_trialset(model, enroll, keyed, tests)
+            got = score_from_dicts(model, enroll, product, tests)
+            want = score_from_dicts(model, enroll, keyed, tests)
         assert got.tobytes() == want.tobytes()
 
         files = {}

@@ -35,6 +35,7 @@ from _helpers import (
     dense_llr,
     llr_longdouble,
     random_model,
+    score_from_dicts,
     trial_pairs,
 )
 
@@ -391,7 +392,7 @@ class TestScoreBatch:
 
     def test_singleton_matches_score_llr(self):
         m, enroll, trials, test_vecs = self._setup(n_models=1, n_tests=1)
-        scores = score_trialset(m, enroll, trials, test_vecs)
+        scores = score_from_dicts(m, enroll, trials, test_vecs)
         assert len(scores) == 1
         [(mid, tid)] = trial_pairs(trials)
         assert scores[0] == pytest.approx(
@@ -400,17 +401,23 @@ class TestScoreBatch:
 
     def test_matches_looped_score_llr(self):
         m, enroll, trials, test_vecs = self._setup(seed=1, n_models=20, n_tests=20)
-        scores = score_trialset(m, enroll, trials, test_vecs)
+        scores = score_from_dicts(m, enroll, trials, test_vecs)
         for (mid, tid), s in zip(trial_pairs(trials), scores):
             assert s == pytest.approx(
                 score_llr(m, enroll[mid], test_vecs[tid]), abs=1e-12
             )
 
-    def test_unresolved_id(self):
-        m, enroll, trials, test_vecs = self._setup()
-        enroll.pop(sorted(enroll)[0])
-        with pytest.raises(PldaError, match="m0"):
-            score_trialset(m, enroll, trials, test_vecs)
+
+    def test_rows_must_match_the_trial_set(self):
+        m, enroll, trials, test_vecs = self._setup(n_models=3, n_tests=4)
+        E = np.concatenate([enroll[k] for k in trials.model_ids])
+        counts = [len(enroll[k]) for k in trials.model_ids]
+        T = np.stack([test_vecs[t] for t in trials.test_utt_ids])
+        for e, c, t in ((E[1:], counts, T), (E, counts[1:], T), (E, counts, T[1:])):
+            with pytest.raises(PldaError, match="do not match the trial set"):
+                score_trialset(m, e, c, trials, t)
+        with pytest.raises(PldaError, match="empty enrollment set"):
+            score_trialset(m, E, [0, *counts[1:-1], counts[0] + counts[-1]], trials, T)
 
 
 class TestLargeEnrollment:
@@ -430,7 +437,7 @@ class TestLargeEnrollment:
         tests = {"same": spk + L @ rng.normal(size=d),
                  "other": model.u + model.V @ rng.normal(size=q) + L @ rng.normal(size=d)}
         trials = TrialSet.product(["m"], list(tests), [[True, False]])
-        scores = score_trialset(model, {"m": enroll}, trials, tests)
+        scores = score_from_dicts(model, {"m": enroll}, trials, tests)
         want = np.array([llr_longdouble(model, enroll, v) for v in tests.values()])
         assert np.all(np.abs(scores.astype(np.longdouble) - want) <= 1e-12 * n)
 

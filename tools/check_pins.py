@@ -16,6 +16,7 @@ about ten minutes on a 2-core machine, most of it in sre_cli.
 """
 from __future__ import annotations
 
+import argparse
 import json
 import subprocess
 import sys
@@ -44,7 +45,11 @@ def verdict(returncode: int, stdout: str) -> str | None:
     return None
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    # no options: --help prints the usage, any argument exits 2
+    argparse.ArgumentParser(description=__doc__,
+                            formatter_class=argparse.RawDescriptionHelpFormatter
+                            ).parse_args(argv)
     bad = []
     for workload in WORKLOADS:
         for seed in SEEDS:
