@@ -9,12 +9,15 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from . import eval_harness, plda, preprocess, synth
 from .data_model import (
     DataError,
-    build_global_view,
-    build_local_view,
-    build_pooled_view,
+    LabelView,
+    _local_class,
+    _number,
+    _pooled_names,
     group_by_speaker,
     read_dataset,
     write_dataset,
@@ -132,19 +135,19 @@ def _load_train_material(data_arg: str, labels: str):
     if labels != "pooled":  # GT reads only the global part, LT only the local
         return eval_harness._training_material(strategy, data, data)
     # pooled from one file: globally labeled records form the global part,
-    # unlabeled records the local part
-    g_utts = [u for u, s in zip(data.utt_ids, data.global_spks) if s is not None]
-    l_utts = [u for u, s in zip(data.utt_ids, data.global_spks) if s is None]
-    if not g_utts or not l_utts:
+    # unlabeled records the local part; each part numbers its classes over
+    # its own rows, and the local classes follow the global ones
+    spks = data.global_spks
+    g_names, g_codes = _number(spks)
+    l_names, l_codes = _number([None if s is not None else _local_class(c, k)
+                                for c, k, s in zip(data.conv_ids, data.slots, spks)])
+    if not g_names or not l_names:
         raise DataError(
             "pooled training from one file needs both labeled ('global_spk' set) "
             "and unlabeled ('-') records; pass two files otherwise"
         )
-    view = build_pooled_view(
-        build_global_view(data.subset(g_utts)),
-        build_local_view(data.subset(l_utts)),
-    )
-    return data, view
+    codes = np.where(g_codes >= 0, g_codes, l_codes + len(g_names))
+    return data, LabelView("pooled", data.utt_ids, _pooled_names(g_names, l_names), codes)
 
 
 def _cmd_train(ns) -> int:

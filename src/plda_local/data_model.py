@@ -13,7 +13,7 @@ import os
 import shutil
 import signal
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -24,10 +24,6 @@ class DataError(Exception):
 
 
 class LabelingError(DataError):
-    pass
-
-
-class PoolingError(DataError):
     pass
 
 
@@ -211,87 +207,90 @@ def merge_datasets(a: Dataset, b: Dataset) -> Dataset:
                             np.concatenate([a.vectors(), b.vectors()]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabelView:
-    """A partition of (a subset of) a dataset's utterances into classes."""
+    """A class per row of one dataset: the row whose utt_id is ``utt_ids[i]``
+    is in class ``codes[i]``, whose id is ``names[codes[i]]``, or in no
+    class where ``codes[i]`` is -1."""
 
     strategy: str  # "global" | "local" | "pooled"
-    classes: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    utt_ids: tuple[str, ...]
+    names: tuple[str, ...]
+    codes: np.ndarray
 
     def __post_init__(self):
         if self.strategy not in ("global", "local", "pooled"):
             raise LabelingError(f"unknown strategy {self.strategy!r}")
-        seen = set()
-        for cid, members in self.classes.items():
-            if not members:
-                raise LabelingError(f"class {cid!r} is empty")
-            for utt in members:
-                if utt in seen:
-                    raise LabelingError(f"utt_id {utt} appears in two classes")
-                seen.add(utt)
-
-    @classmethod
-    def _checked(cls, strategy, classes) -> "LabelView":
-        """A view over classes the caller has checked: none empty, and no
-        utt_id in two of them."""
-        view = object.__new__(cls)
-        view.__dict__.update(strategy=strategy, classes=classes)
-        return view
+        codes = np.array(self.codes, dtype=np.int64)
+        if codes.shape != (len(self.utt_ids),):
+            raise LabelingError(f"class codes of shape {codes.shape} for "
+                                f"{len(self.utt_ids)} rows")
+        if np.any((codes < -1) | (codes >= len(self.names))):
+            raise LabelingError(f"class codes must lie in -1..{len(self.names) - 1}")
+        empty = np.flatnonzero(np.bincount(codes + 1, minlength=len(self.names) + 1)[1:] == 0)
+        if len(empty):
+            raise LabelingError(f"class {self.names[empty[0]]!r} is empty")
+        codes.setflags(write=False)
+        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "utt_ids", tuple(self.utt_ids))
 
     @property
     def n_classes(self) -> int:
-        return len(self.classes)
+        return len(self.names)
 
 
-def _speaker_rows(data: Dataset) -> dict[str, list[int]]:
-    """Row indices per global speaker id: speakers in order of first
-    appearance, rows in dataset order. A row without one raises
-    LabelingError."""
-    groups: dict[str, list[int]] = {}
-    for i, spk in enumerate(data.global_spks):
-        if spk is None:
-            raise LabelingError(f"record {data.utt_ids[i]} has no global speaker label")
-        groups.setdefault(spk, []).append(i)
-    return groups
+def _number(keys):
+    """(names, codes): the distinct ``keys`` other than None, in order of
+    first appearance, and each key's index among them, or -1 for None."""
+    index: dict = {}
+    codes = np.fromiter((-1 if k is None else index.setdefault(k, len(index)) for k in keys),
+                        np.int64, len(keys))
+    return tuple(index), codes
+
+
+def _rows_by_class(view: LabelView) -> dict[str, np.ndarray]:
+    """Each class id of a view with its rows, in dataset order."""
+    order = np.argsort(view.codes, kind="stable")
+    sizes = np.bincount(view.codes + 1, minlength=view.n_classes + 1)
+    return dict(zip(view.names, np.split(order, np.cumsum(sizes)[:-1])[1:]))
 
 
 def group_by_speaker(data: Dataset) -> dict[str, list[UtteranceRecord]]:
     """Records per global speaker id: speakers in order of first appearance,
     records in dataset order. A record without one raises LabelingError."""
-    groups = _speaker_rows(data)
     records = data.records
-    return {spk: [records[i] for i in rows] for spk, rows in groups.items()}
+    return {spk: [records[i] for i in rows.tolist()]
+            for spk, rows in _rows_by_class(build_global_view(data)).items()}
 
 
 def build_global_view(data: Dataset) -> LabelView:
     """One class per distinct global speaker id."""
-    ids = data.utt_ids
-    return LabelView._checked("global", {spk: tuple(ids[i] for i in rows)
-                                         for spk, rows in _speaker_rows(data).items()})
+    if None in data.global_spks:
+        utt = data.utt_ids[data.global_spks.index(None)]
+        raise LabelingError(f"record {utt} has no global speaker label")
+    return LabelView("global", data.utt_ids, *_number(data.global_spks))
 
 
 def build_local_view(data: Dataset) -> LabelView:
     """One class per (conv_id, slot) pair; global labels are ignored."""
-    classes: dict[str, list[str]] = {}
-    for utt, conv, slot in zip(data.utt_ids, data.conv_ids, data.slots):
-        classes.setdefault(_local_class(conv, slot), []).append(utt)
-    return LabelView._checked("local", {k: tuple(v) for k, v in classes.items()})
+    return LabelView("local", data.utt_ids,
+                     *_number(list(map(_local_class, data.conv_ids, data.slots))))
+
+
+def _pooled_names(global_names, local_names) -> tuple[str, ...]:
+    return (tuple(f"g:{k}" for k in global_names)
+            + tuple(f"l:{k}" for k in local_names))
 
 
 def build_pooled_view(global_part: LabelView, local_part: LabelView) -> LabelView:
-    """Disjoint union of a global and a local view, class ids namespaced."""
-    g_utts = {u for m in global_part.classes.values() for u in m}
-    l_utts = {u for m in local_part.classes.values() for u in m}
-    overlap = g_utts & l_utts
-    if overlap:
-        raise PoolingError(f"views share utt_ids: {sorted(overlap)[:5]}")
-    for part, utts in ((global_part, g_utts), (local_part, l_utts)):
-        if len(utts) != sum(map(len, part.classes.values())):
-            raise LabelingError(f"a utt_id appears in two classes of the "
-                                f"{part.strategy} view")
-    classes = {f"g:{k}": v for k, v in global_part.classes.items()}
-    classes.update({f"l:{k}": v for k, v in local_part.classes.items()})
-    return LabelView._checked("pooled", classes)
+    """The union of a global and a local view, over the rows of
+    ``merge_datasets`` of their datasets: the local classes follow the
+    global ones, and class ids are namespaced."""
+    local = local_part.codes
+    codes = np.concatenate([global_part.codes,
+                            np.where(local < 0, -1, local + global_part.n_classes)])
+    return LabelView("pooled", global_part.utt_ids + local_part.utt_ids,
+                     _pooled_names(global_part.names, local_part.names), codes)
 
 
 # Shortest round-trip formatting of float64 arrays: Schubfach (R. Giulietti,

@@ -334,10 +334,8 @@ def _train_and_score(train_data, view, cfg: StrategyConfig, eval_enroll, eval_te
     covers, train PLDA under the view and score the trials of the
     enroll/test split; a view of None fits on every row and scores cosines
     instead of training."""
-    covered = train_data if view is None else train_data.subset(
-        u for members in view.classes.values() for u in members)
-    pp = preprocess.fit(covered.vectors(), whiten=cfg.whiten)
-    del covered  # a copy of the rows; not held while training
+    X = train_data.vectors()
+    pp = preprocess.fit(X if view is None else X[view.codes >= 0], whiten=cfg.whiten)
     model = (None if view is None
              else train_em(train_data, view, pp, cfg.train_config())[0])
     E, counts, T = preprocess_split(pp, eval_enroll, eval_test)
@@ -411,11 +409,11 @@ def run_sweep(spec: SweepSpec, global_data, local_data, eval_enroll, eval_test,
     if len(dims) > 1:
         raise EvalError(f"training and evaluation vectors differ in dimension: "
                         f"{sorted(dims)}")
-    g_view = build_global_view(global_data) if global_data is not None else None
-    l_view = build_local_view(local_data) if local_data is not None else None
-    g_classes = sorted(g_view.classes) if g_view else []
-    l_classes = sorted(l_view.classes) if l_view else []
-    sides = ((g_view, g_classes), (l_view, l_classes))
+    views = (build_global_view(global_data) if global_data is not None else None,
+             build_local_view(local_data) if local_data is not None else None)
+    # each view's class indices in the order of their ids, which a cell draws from
+    by_name = [np.array(sorted(range(v.n_classes), key=v.names.__getitem__) if v else [],
+                        dtype=np.int64) for v in views]
     # every cell trains on the rows its view selects from this one dataset
     pool = (merge_datasets(global_data, local_data)
             if global_data is not None and local_data is not None
@@ -432,17 +430,19 @@ def run_sweep(spec: SweepSpec, global_data, local_data, eval_enroll, eval_test,
         for l in spec.axis_local:
             if g == 0 and l == 0:
                 raise EvalError("cell (0, 0) has no training data")
-            if g > len(g_classes):
-                raise EvalError(f"cell asks for {g} global speakers, have {len(g_classes)}")
-            if l > len(l_classes):
-                raise EvalError(f"cell asks for {l} local slots, have {len(l_classes)}")
+            if g > len(by_name[0]):
+                raise EvalError(f"cell asks for {g} global speakers, have {len(by_name[0])}")
+            if l > len(by_name[1]):
+                raise EvalError(f"cell asks for {l} local slots, have {len(by_name[1])}")
             eers = []
             for rep in range(spec.repeats):
                 seed = spec.base_seed + rep
                 rng = np.random.default_rng([seed, g, l])
-                views = [_draw_classes(rng, n, *side)
-                         for n, side in zip((g, l), sides) if n > 0]
-                view = build_pooled_view(*views) if len(views) == 2 else views[0]
+                # a side that draws no class gives an empty view and
+                # leaves the generator as it was
+                drawn = [_draw_classes(rng, n, v, order)
+                         for n, v, order in zip((g, l), views, by_name) if v is not None]
+                view = build_pooled_view(*drawn) if len(drawn) == 2 else drawn[0]
                 scores = _train_and_score(pool, view, replace(cfg, seed=seed),
                                           eval_enroll, eval_test, trials)
                 eer, _ = compute_eer(scores[trials.target], scores[~trials.target])
@@ -457,11 +457,14 @@ def run_sweep(spec: SweepSpec, global_data, local_data, eval_enroll, eval_test,
     )
 
 
-def _draw_classes(rng, n, view, names):
+def _draw_classes(rng, n, view, by_name):
     """The sub-view of n of the view's classes, drawn without replacement
-    from its sorted class ``names``."""
-    chosen = [names[i] for i in rng.choice(len(names), size=n, replace=False)]
-    return LabelView._checked(view.strategy, {c: view.classes[c] for c in chosen})
+    from its class indices ``by_name``, in the order drawn."""
+    chosen = by_name[rng.choice(len(by_name), size=n, replace=False)]
+    remap = np.full(view.n_classes + 1, -1)  # its last entry maps code -1
+    remap[chosen] = np.arange(n)
+    return LabelView(view.strategy, view.utt_ids,
+                     tuple(map(view.names.__getitem__, chosen.tolist())), remap[view.codes])
 
 
 def _write_trial_rows(trials: TrialSet, header, path, values, *fields):

@@ -95,11 +95,6 @@ class PldaModel:
     def latent_dim(self) -> int:
         return self.V.shape[1]
 
-    @property
-    def B(self) -> np.ndarray:
-        """Across-class covariance V V'."""
-        return self.V @ self.V.T
-
     def count_terms(self, n: int):
         """(P_n^-1, logdet P_n) for the posterior precision P_n = I + n F."""
         hit = self._count_cache.get(n)
@@ -208,21 +203,20 @@ def score_trialset(model: PldaModel, enroll, counts, trials, test) -> np.ndarray
 
 def _collect_classes(data: Dataset, view: LabelView, pp: Preprocessor | None):
     """(X, counts): the training vectors class by class and the class sizes,
-    the classes in ascending order of size, ties in view order."""
+    the classes in ascending order of size, ties in view order, and each
+    class's rows in dataset order."""
+    if view.utt_ids != data.utt_ids:
+        raise PldaError("the label view is not over the rows of the training data")
     if view.n_classes < 2:
         raise PldaError(f"need at least 2 classes, have {view.n_classes}")
-    row = dict(zip(data.utt_ids, range(len(data))))
-    members = list(view.classes.values())
-    counts = np.array([len(m) for m in members], dtype=np.int64)
-    order = np.argsort(counts, kind="stable")
-    try:
-        rows = [row[u] for i in order.tolist() for u in members[i]]
-    except KeyError as e:
-        raise PldaError(f"label view references unknown utt_id {e.args[0]!r}") from None
-    X = data.vectors()[rows]
+    codes = view.codes
+    sizes = np.bincount(codes + 1, minlength=view.n_classes + 1)
+    by_class = np.argsort(codes, kind="stable")[sizes[0]:]  # rows in no class go
+    sizes = sizes[1:]
+    X = data.vectors()[by_class[np.argsort(sizes[codes[by_class]], kind="stable")]]
     if pp is not None:
         X = pp.apply(X)
-    return X, counts[order]
+    return X, np.sort(sizes)
 
 
 def train_em(data: Dataset, view: LabelView, pp: Preprocessor | None,

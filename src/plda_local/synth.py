@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data_model import Dataset, UtteranceRecord, _is_seed, _speaker_rows
+from .data_model import Dataset, UtteranceRecord, _is_seed, _rows_by_class, build_global_view
 from .plda import PldaModel
 
 
@@ -151,7 +151,7 @@ def split_eval(data: Dataset, n_enroll_per_spk: int, n_test_per_spk: int,
         raise SynthError("per-speaker counts must be >= 1")
     if not _is_seed(seed):
         raise SynthError(f"seed must be a non-negative integer, got {seed!r}")
-    by_spk = _speaker_rows(data)
+    by_spk = _rows_by_class(build_global_view(data))
     records = data.records
     rng = np.random.default_rng(seed)
     enroll: dict[str, tuple[UtteranceRecord, ...]] = {}
@@ -163,7 +163,7 @@ def split_eval(data: Dataset, n_enroll_per_spk: int, n_test_per_spk: int,
         if len(rows) < need:
             excluded += 1
             continue
-        order = rng.permutation(len(rows))
-        enroll[spk] = tuple(records[rows[i]] for i in order[:n_enroll_per_spk])
-        test_rows.extend(rows[i] for i in order[n_enroll_per_spk:need])
+        rows = rows[rng.permutation(len(rows))].tolist()
+        enroll[spk] = tuple(records[i] for i in rows[:n_enroll_per_spk])
+        test_rows.extend(rows[n_enroll_per_spk:need])
     return EvalSplit(enroll=enroll, test=data._take(test_rows), n_excluded=excluded)

@@ -10,6 +10,7 @@ from plda_local.data_model import (
     MISSING,
     DataError,
     Dataset,
+    LabelView,
     ParseError,
     UtteranceRecord,
     _local_class,
@@ -271,14 +272,71 @@ def read_key_rows(path, model_ids, test_ids):
             [key[p] for p in pairs])
 
 
+def label_view(strategy, classes, utt_ids=None):
+    """The LabelView of a {class id: member utt_ids} partition over the rows
+    ``utt_ids``, by default the members class by class; a row in no class
+    gets code -1."""
+    if utt_ids is None:
+        utt_ids = tuple(u for members in classes.values() for u in members)
+    row = {u: i for i, u in enumerate(utt_ids)}
+    codes = [-1] * len(utt_ids)
+    for k, members in enumerate(classes.values()):
+        for u in members:
+            codes[row[u]] = k
+    return LabelView(strategy, tuple(utt_ids), tuple(classes), np.array(codes, dtype=np.int64))
+
+
+def classes(view):
+    """A label view as {class id: member utt_ids}, classes in view order and
+    members in row order."""
+    members = {k: [] for k in range(view.n_classes)}
+    for u, k in zip(view.utt_ids, view.codes.tolist()):
+        if k >= 0:
+            members[k].append(u)
+    return {view.names[k]: tuple(m) for k, m in members.items()}
+
+
 def member_count(view):
     """Utterances a label view assigns to some class."""
-    return sum(len(m) for m in view.classes.values())
+    return sum(len(m) for m in classes(view).values())
 
 
 def partition(view):
     """A label view's class memberships as an id-free set partition."""
-    return {frozenset(m) for m in view.classes.values()}
+    return {frozenset(m) for m in classes(view).values()}
+
+
+def partition_by(keys, utt_ids):
+    """{key: utt_ids of its rows}, keys in order of first appearance."""
+    out = {}
+    for key, u in zip(keys, utt_ids):
+        out.setdefault(key, []).append(u)
+    return {k: tuple(v) for k, v in out.items()}
+
+
+def draw_partition(rng, n, classes):
+    """n classes of a {class id: members} partition, drawn without
+    replacement from its sorted class ids, in the order drawn: the
+    reference for a sweep cell's draw."""
+    names = sorted(classes)
+    return {names[i]: classes[names[i]] for i in rng.choice(len(names), size=n, replace=False)}
+
+
+def collect_classes_rows(data, classes):
+    """(X, counts) that EM trains on under a {class id: member utt_ids}
+    partition: classes in a stable sort of their sizes in partition order,
+    members in partition order. The reference for ``_collect_classes``."""
+    row = {u: i for i, u in enumerate(data.utt_ids)}
+    members = list(classes.values())
+    counts = np.array([len(m) for m in members], dtype=np.int64)
+    order = np.argsort(counts, kind="stable")
+    rows = [row[u] for i in order.tolist() for u in members[i]]
+    return data.vectors()[rows], counts[order]
+
+
+def between_cov(model):
+    """A model's across-class covariance V V'."""
+    return model.V @ model.V.T
 
 
 def _solve_longdouble(A, B):

@@ -7,12 +7,12 @@ import sys
 import numpy as np
 import pytest
 
-from plda_local import cli, eval_harness
+from plda_local import cli, eval_harness, preprocess
 from plda_local.data_model import Dataset, UtteranceRecord, read_dataset, write_dataset
 from plda_local.eval_harness import compute_eer, read_key, write_key
 from plda_local.eval_harness import TrialSet, generate_trials
-from plda_local.plda import load_model
-from _helpers import read_scores, trial_pairs
+from plda_local.plda import TrainConfig, load_model, save_model, train_em
+from _helpers import label_view, local_class, partition_by, read_scores, trial_pairs
 
 
 def run(*args):
@@ -102,6 +102,30 @@ class TestTrain:
         assert run("train", "--data", corpus_file, "--labels", "pooled",
                    "--q", 2, "--iters", 3, "--seed", 0,
                    "--model", tmp_path / "m.plda") == 2
+
+    def test_pooled_single_file(self, corpus_file, tmp_path):
+        # conversations 0, 3, 6, ... lose their speaker labels
+        data = read_dataset(corpus_file)
+        mixed = tmp_path / "mixed.csv"
+        write_dataset(Dataset(data.dim, tuple(
+            dataclasses.replace(r, global_spk=None) if int(r.conv_id[-5:]) % 3 == 0 else r
+            for r in data.records)), mixed)
+        model_path = tmp_path / "m.plda"
+        assert run("train", "--data", mixed, "--labels", "pooled", "--q", 2, "--iters", 5,
+                   "--seed", 0, "--model", model_path) == 0
+        # the labeled speakers, then the slots of the unlabeled conversations
+        data = read_dataset(mixed)
+        g = [r for r in data.records if r.global_spk is not None]
+        l = [r for r in data.records if r.global_spk is None]
+        classes = {**{f"g:{k}": m for k, m in partition_by(
+                       [r.global_spk for r in g], [r.utt_id for r in g]).items()},
+                   **{f"l:{k}": m for k, m in partition_by(
+                       map(local_class, l), [r.utt_id for r in l]).items()}}
+        pp = preprocess.fit(data.vectors())
+        model, _ = train_em(data, label_view("pooled", classes, data.utt_ids), pp,
+                            TrainConfig(latent_dim=2, iterations=5, seed=0))
+        save_model(model, pp, tmp_path / "want.plda")
+        assert model_path.read_bytes() == (tmp_path / "want.plda").read_bytes()
 
     def test_default_q_is_half_dim(self, corpus_file, tmp_path):
         model_path = tmp_path / "m.plda"

@@ -15,7 +15,6 @@ from plda_local.data_model import (
     Dataset,
     LabelingError,
     ParseError,
-    PoolingError,
     UtteranceRecord,
     build_global_view,
     build_local_view,
@@ -26,8 +25,8 @@ from plda_local.data_model import (
 )
 from plda_local.eval_harness import SweepGrid
 from plda_local.preprocess import Preprocessor
-from _helpers import (corpus, local_class, member_count, partition, random_model,
-                      read_dataset_rows)
+from _helpers import (classes, corpus, label_view, local_class, member_count, partition,
+                      random_model, read_dataset_rows)
 from test_golden_output import SPECIAL
 
 
@@ -113,7 +112,7 @@ class TestGlobalView:
                         rec("u3", spk="B", conv="c3")))
         v = build_global_view(d)
         assert v.strategy == "global"
-        assert sorted(len(m) for m in v.classes.values()) == [1, 2]
+        assert sorted(len(m) for m in classes(v).values()) == [1, 2]
 
     def test_empty_dataset(self):
         v = build_global_view(Dataset(2, ()))
@@ -146,7 +145,7 @@ class TestLocalView:
     def test_class_id_form(self):
         d = Dataset(2, (rec("u1", conv="c1", slot=2, spk=None),))
         v = build_local_view(d)
-        assert set(v.classes) == {"c1:2"}
+        assert set(classes(v)) == {"c1:2"}
 
     def test_no_recurrence_matches_global_partition(self):
         data = corpus(seed=5, dim=4, q=2, nconv=40, slots=2, utts=3, rho=0.0)
@@ -165,7 +164,7 @@ class TestLocalView:
     def test_never_merges_conversations(self):
         data = corpus(seed=3, dim=3, q=1, nconv=30, slots=2, utts=2, rho=0.5)
         conv_of = dict(zip(data.utt_ids, data.conv_ids))
-        for members in build_local_view(data).classes.values():
+        for members in classes(build_local_view(data)).values():
             assert len({conv_of[u] for u in members}) == 1
 
 
@@ -181,77 +180,59 @@ class TestPooledView:
         g = LabelViewFixture.global_view(1)
         l = LabelViewFixture.local_view(1)
         p = build_pooled_view(g, l)
-        assert all(c.startswith(("g:", "l:")) for c in p.classes)
+        assert all(c.startswith(("g:", "l:")) for c in classes(p))
 
     def test_empty_local_side(self):
-        from plda_local.data_model import LabelView
         g = LabelViewFixture.global_view(2)
-        p = build_pooled_view(g, LabelView("local", {}))
+        p = build_pooled_view(g, label_view("local", {}))
         assert partition(p) == partition(g)
 
-    def test_overlap_rejected(self):
-        from plda_local.data_model import LabelView
-        g = LabelView("global", {"A": ("u1",)})
-        l = LabelView("local", {"c1:0": ("u1",)})
-        with pytest.raises(PoolingError):
-            build_pooled_view(g, l)
-
-    def test_member_in_two_classes_of_a_part_rejected(self):
-        from plda_local.data_model import LabelView
-        g = LabelViewFixture.global_view(2)
-        g.classes["s1"] = ("gu0a",)  # a part changed after it was checked
-        with pytest.raises(LabelingError, match="global view"):
-            build_pooled_view(g, LabelViewFixture.local_view(2))
+    def test_rows_line_up_with_merge_datasets(self):
+        a = corpus(seed=3, dim=3, q=1, nconv=20, slots=2, utts=2, rho=0.3)
+        b = corpus(seed=4, dim=3, q=1, nconv=20, slots=2, utts=2, rho=0.3)
+        p = build_pooled_view(build_global_view(a), build_local_view(b))
+        assert p.utt_ids == merge_datasets(a, b).utt_ids
+        assert classes(p) == {**{f"g:{k}": v for k, v in classes(build_global_view(a)).items()},
+                              **{f"l:{k}": v for k, v in classes(build_local_view(b)).items()}}
 
     def test_corpus_scale_pooled_counts(self):
-        from plda_local.data_model import LabelView
-        g = LabelView("global", {f"s{i}": (f"gu{i}",) for i in range(6000)})
-        l = LabelView("local", {f"c{i}:0": (f"lu{i}",) for i in range(5532)})
+        g = label_view("global", {f"s{i}": (f"gu{i}",) for i in range(6000)})
+        l = label_view("local", {f"c{i}:0": (f"lu{i}",) for i in range(5532)})
         assert build_pooled_view(g, l).n_classes == 11532
 
 
 class TestLabelViewChecks:
-    """A view built directly checks every member; views the package builds
-    from checked parts do not check again."""
-
-    def test_member_in_two_classes_rejected(self):
-        from plda_local.data_model import LabelView
-        with pytest.raises(LabelingError, match="u2 appears in two classes"):
-            LabelView("local", {"c1:0": ("u1", "u2"), "c2:0": ("u3", "u2")})
+    """A view checks its strategy, that it has one class code per row, each
+    a class index or -1, and that no class is empty."""
 
     def test_empty_class_rejected(self):
-        from plda_local.data_model import LabelView
         with pytest.raises(LabelingError, match="empty"):
-            LabelView("global", {"A": ("u1",), "B": ()})
+            label_view("global", {"A": ("u1",), "B": ()})
 
     def test_unknown_strategy_rejected(self):
-        from plda_local.data_model import LabelView
         with pytest.raises(LabelingError, match="strategy"):
-            LabelView("speaker", {})
+            label_view("speaker", {})
 
-    def test_builders_check_no_member_again(self, monkeypatch):
+    @pytest.mark.parametrize("codes", [[0, 2], [-2, 0], [0, 1, 1], [[0, 1]]])
+    def test_codes_must_be_class_indices_one_per_row(self, codes):
         from plda_local.data_model import LabelView
-        a = corpus(seed=3, dim=3, q=1, nconv=20, slots=2, utts=2, rho=0.3)
-        b = corpus(seed=4, dim=3, q=1, nconv=20, slots=2, utts=2, rho=0.3)
-        monkeypatch.setattr(LabelView, "__post_init__",
-                            lambda self: pytest.fail("view checked again"))
-        g, l = build_global_view(a), build_local_view(b)
-        pooled = build_pooled_view(g, l)
-        sub = eval_harness._draw_classes(np.random.default_rng(0), 5, g, sorted(g.classes))
-        assert member_count(pooled) == len(a) + len(b)
-        assert sub.n_classes == 5
+        with pytest.raises(LabelingError, match="class codes"):
+            LabelView("global", ("u1", "u2"), ("A", "B"), np.array(codes))
+
+    def test_codes_are_read_only(self):
+        v = label_view("global", {"A": ("u1",), "B": ("u2",)})
+        with pytest.raises(ValueError):
+            v.codes[0] = 1
 
 
 class LabelViewFixture:
     @staticmethod
     def global_view(n):
-        from plda_local.data_model import LabelView
-        return LabelView("global", {f"s{i}": (f"gu{i}a", f"gu{i}b") for i in range(n)})
+        return label_view("global", {f"s{i}": (f"gu{i}a", f"gu{i}b") for i in range(n)})
 
     @staticmethod
     def local_view(n):
-        from plda_local.data_model import LabelView
-        return LabelView("local", {f"c{i}:0": (f"lu{i}",) for i in range(n)})
+        return label_view("local", {f"c{i}:0": (f"lu{i}",) for i in range(n)})
 
 
 class TestFileRoundTrip:

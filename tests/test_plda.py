@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import ortho_group
 
-from plda_local import plda
+from plda_local import eval_harness, plda
 from plda_local.data_model import (
     Dataset,
     UtteranceRecord,
@@ -30,10 +30,16 @@ from plda_local.preprocess import Preprocessor
 from plda_local.synth import SynthConfig, sample_conversations, sample_truth
 from plda_local.eval_harness import TrialSet, generate_trials
 from _helpers import (
+    between_cov,
+    classes,
+    collect_classes_rows,
     corpus,
     dense_class_loglik,
     dense_llr,
+    draw_partition,
+    label_view,
     llr_longdouble,
+    partition_by,
     random_model,
     score_from_dicts,
     trial_pairs,
@@ -119,7 +125,6 @@ class TestModelValidation:
     def test_derived_matrices_consistent(self):
         rng = np.random.default_rng(0)
         m = random_model(rng, 4, 2)
-        np.testing.assert_allclose(m.B, m.V @ m.V.T, rtol=1e-12)
         S_inv = np.linalg.inv(m.Sigma)
         assert m._logdet_sigma == pytest.approx(np.linalg.slogdet(m.Sigma)[1], abs=1e-12)
         np.testing.assert_allclose(m._G, m.V.T @ S_inv, atol=1e-12)
@@ -222,7 +227,7 @@ class TestTrainEm:
             data, view, None,
             TrainConfig(latent_dim=2, iterations=50, seed=1, loglik_tol=0.0),
         )
-        BB, BB_hat = truth.B, model.B
+        BB, BB_hat = between_cov(truth), between_cov(model)
         assert np.linalg.norm(BB_hat - BB) / np.linalg.norm(BB) < 0.15
         assert (
             np.linalg.norm(model.Sigma - truth.Sigma) / np.linalg.norm(truth.Sigma)
@@ -238,6 +243,17 @@ class TestTrainEm:
         data = corpus(seed=2, dim=3, q=1, nconv=1, slots=1, utts=5)
         view = build_global_view(data)
         with pytest.raises(PldaError):
+            train_em(data, view, None, TrainConfig(latent_dim=1, iterations=5, seed=0))
+
+    @pytest.mark.parametrize("rows", ["another_corpus", "a_subset", "reordered"])
+    def test_refuses_a_view_over_other_rows(self, rows):
+        data = corpus(seed=2, dim=3, q=1, nconv=10, slots=1, utts=2)
+        other = {"another_corpus": lambda: corpus(seed=3, dim=3, q=1, nconv=10, slots=1, utts=2),
+                 "a_subset": lambda: data.subset(data.utt_ids[:10]),
+                 "reordered": lambda: Dataset(data.dim, data.records[::-1])}[rows]()
+        view = build_global_view(other)
+        assert view.n_classes >= 2
+        with pytest.raises(PldaError, match="not over the rows"):
             train_em(data, view, None, TrainConfig(latent_dim=1, iterations=5, seed=0))
 
     def test_q_above_d_rejected(self):
@@ -331,7 +347,7 @@ class TestTrainEm:
         # the log-likelihood reported at iteration k is that of the model
         # after k M-steps, which is what a training of k iterations returns
         data, view = pooled_material(seed=q, d=5, q=q)
-        sizes = [len(m) for m in view.classes.values()]
+        sizes = [len(m) for m in classes(view).values()]
         assert sorted(set(sizes)) == [1, 2, 4, 5] and sizes != sorted(sizes)
         rows = dict(zip(data.utt_ids, data.vectors()))
         for k in (1, 4):
@@ -340,7 +356,7 @@ class TestTrainEm:
             _, lls = train_em(data, view, None, TrainConfig(
                 latent_dim=q, iterations=k + 1, seed=0, loglik_tol=0))
             want = sum(dense_class_loglik(model, [rows[u] for u in members])
-                       for members in view.classes.values())
+                       for members in classes(view).values())
             assert lls[-1] == pytest.approx(want, rel=1e-9)
 
     @pytest.mark.parametrize("dim,q,utts", [(5, 2, 1), (4, 4, 3)],
@@ -368,6 +384,67 @@ class TestTrainEm:
         assert np.linalg.norm(model.u) < 1.0
         for a, b in zip(lls, lls[1:]):
             assert b >= a - 1e-8 * abs(a)
+
+
+class TestCollectClasses:
+    """The rows EM trains on, class by class, against a reference that
+    works on {class id: utt_ids} partitions."""
+
+    @staticmethod
+    def _dataset(rng, sizes, tag, labeled):
+        """Classes of the given sizes with their rows shuffled: class k is a
+        speaker when ``labeled``, else a conversation slot, and its id comes
+        from a shuffled number, so that sorting ids reorders the classes."""
+        number = rng.permutation(len(sizes))
+        owner = rng.permutation(np.repeat(np.arange(len(sizes)), sizes)).tolist()
+        return Dataset(2, tuple(UtteranceRecord(
+            utt_id=f"{tag}u{i}", conv_id=f"{tag}c{number[k] // 2}", slot=int(number[k] % 2),
+            global_spk=f"{tag}s{number[k]}" if labeled else None, vector=rng.normal(size=2))
+            for i, k in enumerate(owner)))
+
+    @settings(deadline=None, max_examples=200)
+    @given(g_sizes=st.lists(st.integers(1, 3), max_size=8),
+           l_sizes=st.lists(st.integers(1, 3), max_size=8),
+           kind=st.sampled_from(["global", "local", "pooled", "some_rows"]),
+           draws=st.tuples(st.integers(0, 8), st.integers(0, 8)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_reference(self, g_sizes, l_sizes, kind, draws, seed):
+        rng = np.random.default_rng(seed)
+        g = self._dataset(rng, g_sizes, "g", True)
+        l = self._dataset(rng, l_sizes, "l", False)
+        views = [build_global_view(g), build_local_view(l)]
+        parts = [partition_by(g.global_spks, g.utt_ids),
+                 partition_by([f"{c}:{k}" for c, k in zip(l.conv_ids, l.slots)], l.utt_ids)]
+        if kind == "some_rows":
+            # some of the classes, in the order drawn; other rows in no class
+            part = draw_partition(rng, min(draws[0], len(parts[0])), parts[0])
+            data, view = g, label_view("global", part, g.utt_ids)
+        else:
+            # a sweep cell's draw of each side, where it asks for fewer
+            # classes than the side has
+            for i, n in enumerate(draws):
+                if n < len(parts[i]):
+                    by_name = np.array(sorted(range(views[i].n_classes),
+                                              key=views[i].names.__getitem__), dtype=np.int64)
+                    views[i] = eval_harness._draw_classes(
+                        np.random.default_rng([seed, i]), n, views[i], by_name)
+                    parts[i] = draw_partition(np.random.default_rng([seed, i]), n, parts[i])
+            if kind == "pooled":
+                data, view = merge_datasets(g, l), build_pooled_view(*views)
+                part = {**{f"g:{k}": m for k, m in parts[0].items()},
+                        **{f"l:{k}": m for k, m in parts[1].items()}}
+            else:
+                i = kind == "local"
+                data, view, part = (g, l)[i], views[i], parts[i]
+        assert list(classes(view).items()) == list(part.items())
+        if len(part) < 2:
+            with pytest.raises(PldaError, match="at least 2 classes"):
+                plda._collect_classes(data, view, None)
+            return
+        X, counts = plda._collect_classes(data, view, None)
+        want_X, want_counts = collect_classes_rows(data, part)
+        np.testing.assert_array_equal(X, want_X)
+        np.testing.assert_array_equal(counts, want_counts)
 
 
 class TestScoreBatch:

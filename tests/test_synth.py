@@ -15,6 +15,7 @@ from plda_local.synth import (
     split_eval,
 )
 from _helpers import (
+    between_cov,
     corpus,
     partition,
     random_model,
@@ -46,7 +47,7 @@ class TestSampleTruth:
 
     def test_unit_between_within_ratio(self):
         t = sample_truth(cfg(seed=4, dim=20, latent_dim=5))
-        assert np.trace(t.B) / np.trace(t.Sigma) == pytest.approx(1.0, rel=1e-10)
+        assert np.trace(between_cov(t)) / np.trace(t.Sigma) == pytest.approx(1.0, rel=1e-10)
 
 
 class TestSampleConversations:
@@ -116,7 +117,7 @@ class TestSampleConversations:
         within /= n
         between = np.cov(np.stack(means), rowvar=False, ddof=1)
         # speaker means carry Sigma/5 measurement noise on top of B
-        expected_between = truth.B + truth.Sigma / 5
+        expected_between = between_cov(truth) + truth.Sigma / 5
         assert (
             np.linalg.norm(within - truth.Sigma) / np.linalg.norm(truth.Sigma) < 0.1
         )
