@@ -1,12 +1,14 @@
 """Hot numeric kernels: per-class E-step statistics and per-trial scoring.
 
-estep_stats(A, sizes, bounds, F) -> (M, R2, ll_lat)
+estep_stats(A, sizes, bounds, Pinv, logdet) -> (M, R2, ll_lat)
     A:      (K, q) projected class sums, a_i = V' Sigma^-1 s_i, with the
                    classes sorted by size
     sizes:  (S,)   the distinct class sizes
     bounds: (S+1,) rows bounds[j]:bounds[j+1] of A are the classes of size
                    sizes[j]
-    F:      (q, q) V' Sigma^-1 V
+    Pinv:   (S, q, q) (I + sizes[j] F)^-1, with F = V' Sigma^-1 V
+    logdet: (S,)   logdet(I + sizes[j] F); ``plda._posterior_terms`` gives
+                   both, as it does to scoring
     M:      (K, q) posterior means m_i = (I + n_i F)^-1 a_i
     R2:     (q, q) sum_i n_i ((I + n_i F)^-1 + m_i m_i')
     ll_lat: scalar sum_i (-1/2 logdet(I + n_i F) + 1/2 a_i . m_i)
@@ -26,14 +28,10 @@ HAS_NUMBA = False
 _BLOCK = 1 << 20  # model x test scores computed at once (8 MB of float64)
 
 
-def estep_stats(A, sizes, bounds, F):
-    # classes sharing a size share the posterior covariance, so one batched
-    # inverse and log-determinant serve every size, and each size's classes
-    # are one contiguous slice of A
+def estep_stats(A, sizes, bounds, Pinv, logdet):
+    # classes sharing a size share the posterior covariance, and each size's
+    # classes are one contiguous slice of A
     q = A.shape[1]
-    P = np.eye(q) + sizes[:, None, None] * F
-    Pinv = np.linalg.inv(P)
-    logdet = np.linalg.slogdet(P)[1]
     M = np.empty_like(A)
     R2 = np.zeros((q, q))
     for n, Pn, a, b in zip(sizes.tolist(), Pinv, bounds[:-1].tolist(), bounds[1:].tolist()):

@@ -169,8 +169,7 @@ def _cmd_score(ns) -> int:
     enroll = group_by_speaker(read_dataset(ns.enroll))
     test = read_dataset(ns.test)
     E, counts, T = eval_harness.preprocess_split(pp, enroll, test)
-    trials = eval_harness.generate_trials(sorted(enroll), test,
-                                          dict(zip(test.utt_ids, test.global_spks)))
+    trials = eval_harness.generate_trials(sorted(enroll), test)
     scores = plda.score_trialset(model, E, counts, trials, T)
     eval_harness.write_scores(trials, scores, ns.scores)
     return 0

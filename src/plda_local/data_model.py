@@ -15,6 +15,7 @@ import signal
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import cache
+from itertools import repeat
 
 import numpy as np
 
@@ -246,6 +247,13 @@ def _number(keys):
     codes = np.fromiter((-1 if k is None else index.setdefault(k, len(index)) for k in keys),
                         np.int64, len(keys))
     return tuple(index), codes
+
+
+def _positions(ids, keys) -> np.ndarray:
+    """Each key's index in ``ids``, the last one for a repeated id, or -1
+    where no id equals the key."""
+    index = dict(zip(ids, range(len(ids))))
+    return np.fromiter(map(index.get, keys, repeat(-1)), np.int64, len(keys))
 
 
 def _rows_by_class(view: LabelView) -> dict[str, np.ndarray]:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import count
 
 import numpy as np
 
@@ -22,6 +21,7 @@ from .data_model import (
     build_pooled_view,
     _byte_rows,
     _is_seed,
+    _positions,
     _read_text,
     _replacing,
     _text_rows,
@@ -109,33 +109,25 @@ class TrialSet:
         idx = []
         for ids, col, what in ((model_ids, pair_models, "enroll model id"),
                                (test_utt_ids, pair_tests, "test utt_id")):
-            pos = dict(zip(ids, count()))
-            try:
-                idx.append(np.fromiter(map(pos.__getitem__, col), np.int64, len(col)))
-            except KeyError as e:
-                raise EvalError(f"unresolved {what} {e.args[0]!r}") from None
+            idx.append(_positions(ids, col))
+            if len(col) and idx[-1].min() < 0:
+                raise EvalError(f"unresolved {what} {col[int(np.argmin(idx[-1]))]!r}")
         return cls(model_ids, test_utt_ids, *idx, target)
 
 
-def generate_trials(enroll_ids, test: Dataset, key_source: dict) -> TrialSet:
+def generate_trials(model_ids, test: Dataset) -> TrialSet:
     """Full cross product of enroll models and test utterances, model-major.
 
-    A trial is target iff the test utterance's true speaker (key_source)
-    equals the enroll model's speaker id.
+    A trial is target iff the test utterance's global speaker equals the
+    model id.
     """
-    model_ids = list(enroll_ids)
-    test_ids = list(test.utt_ids)
-    for tid in test_ids:
-        if tid not in key_source:
-            raise EvalError(f"test utterance {tid!r} has no true-speaker key")
+    model_ids = list(model_ids)
     # each distinct model id gets one code, a repeated id its last row's;
     # a speaker who is no model id, None among them, gets -1, which no
     # model row has
-    code = {m: i for i, m in enumerate(model_ids)}
-    codes = np.fromiter(map(code.__getitem__, model_ids), np.int64, len(model_ids))
-    spk_codes = np.fromiter((code.get(key_source[t], -1) for t in test_ids),
-                            np.int64, len(test_ids))
-    return TrialSet.product(model_ids, test_ids, codes[:, None] == spk_codes[None, :])
+    codes = _positions(model_ids, model_ids)
+    spk_codes = _positions(model_ids, test.global_spks)
+    return TrialSet.product(model_ids, test.utt_ids, codes[:, None] == spk_codes[None, :])
 
 
 def _score_sides(target_scores, nontarget_scores):
@@ -359,8 +351,7 @@ def run_strategy(strategy, global_data, local_data, eval_enroll, eval_test,
     scores are written to scores_path when given.
     """
     train_data, view = _training_material(strategy, global_data, local_data)
-    key_source = dict(zip(eval_test.utt_ids, eval_test.global_spks))
-    trials = generate_trials(sorted(eval_enroll), eval_test, key_source)
+    trials = generate_trials(sorted(eval_enroll), eval_test)
     scores = _train_and_score(train_data, view, cfg, eval_enroll, eval_test, trials)
     report = eval_report(scores, trials.target)
     if scores_path is not None:
@@ -419,8 +410,7 @@ def run_sweep(spec: SweepSpec, global_data, local_data, eval_enroll, eval_test,
             if global_data is not None and local_data is not None
             else global_data if global_data is not None else local_data)
 
-    key_source = dict(zip(eval_test.utt_ids, eval_test.global_spks))
-    trials = generate_trials(sorted(eval_enroll), eval_test, key_source)
+    trials = generate_trials(sorted(eval_enroll), eval_test)
     if trials.n_target == 0 or trials.n_nontarget == 0:
         raise EvalError(f"the trial set has {trials.n_target} target and "
                         f"{trials.n_nontarget} nontarget trials; both must be non-zero")

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _kernels
 from .data_model import Dataset, LabelView, _is_seed, _read_text, _replacing, _text_rows
-from .preprocess import Preprocessor
+from .preprocess import Preprocessor, _check_symmetric
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -67,13 +67,7 @@ class PldaModel:
         for a in (u, V, S):
             if not np.all(np.isfinite(a)):
                 raise PldaError("non-finite model parameters")
-        # scaled to a largest entry of 1, so that no norm of a finite matrix
-        # overflows; a difference that overflows is asymmetry
-        scale = np.max(np.abs(S)) or 1.0
-        with np.errstate(over="ignore"):
-            rel = np.linalg.norm((S - S.T) / scale) / max(np.linalg.norm(S / scale), 1e-300)
-        if not rel <= 1e-10:
-            raise PldaError(f"Sigma asymmetric (relative {rel:.2e})")
+        _check_symmetric(S, "Sigma", PldaError)
         S = 0.5 * (S + S.T)
         with np.errstate(over="ignore", invalid="ignore"):
             logdet_sigma, _, G, F = _sigma_terms(S, V)
@@ -85,7 +79,6 @@ class PldaModel:
         object.__setattr__(self, "_logdet_sigma", logdet_sigma)
         object.__setattr__(self, "_G", G)
         object.__setattr__(self, "_F", F)
-        object.__setattr__(self, "_count_cache", {})
 
     @property
     def dim(self) -> int:
@@ -94,22 +87,6 @@ class PldaModel:
     @property
     def latent_dim(self) -> int:
         return self.V.shape[1]
-
-    def count_terms(self, n: int):
-        """(P_n^-1, logdet P_n) for the posterior precision P_n = I + n F."""
-        hit = self._count_cache.get(n)
-        if hit is not None:
-            return hit
-        q = self.latent_dim
-        with np.errstate(over="ignore"):
-            P = np.eye(q) + n * self._F
-        # a finite P has eigenvalues >= 1, so a finite inverse and log-determinant
-        if not np.all(np.isfinite(P)):
-            raise PldaError(f"I + n V' Sigma^-1 V overflows at n={n} utterances")
-        Q = np.linalg.inv(P)
-        logdet = float(np.linalg.slogdet(P)[1])
-        self._count_cache[n] = (Q, logdet)
-        return Q, logdet
 
     def project(self, centered: np.ndarray) -> np.ndarray:
         """a = V' Sigma^-1 x for a centered vector or batch of rows."""
@@ -135,6 +112,20 @@ def _sigma_terms(Sigma: np.ndarray, V: np.ndarray):
     return logdet_sigma, Sigma_inv, G, 0.5 * (F + F.T)
 
 
+def _posterior_terms(F: np.ndarray, ns):
+    """(Q, L) for the posterior precisions P_n = I + n F of a latent factor
+    given n utterances, one per count in ``ns``: the stacks Q[k] = P^-1 and
+    L[k] = log det P. An overflowing P raises, naming its smallest count."""
+    ns = np.asarray(ns, dtype=np.int64)
+    with np.errstate(over="ignore"):
+        P = np.eye(len(F)) + ns[:, None, None] * F
+    # a finite P has eigenvalues >= 1, so a finite inverse and log-determinant
+    finite = np.isfinite(P).all(axis=(1, 2))
+    if not finite.all():
+        raise PldaError(f"I + n V' Sigma^-1 V overflows at n={ns[~finite].min()} utterances")
+    return np.linalg.inv(P), np.linalg.slogdet(P)[1]
+
+
 def score_llr(model: PldaModel, enroll, test) -> float:
     """Evidence ratio: same-speaker vs different-speaker log-likelihoods.
 
@@ -151,9 +142,7 @@ def score_llr(model: PldaModel, enroll, test) -> float:
         raise PldaError("dimension mismatch in score_llr")
     a_e = model.project(np.sum(E - model.u, axis=0))
     a_t = model.project(t - model.u)
-    Qn, Ln = model.count_terms(n)
-    Qj, Lj = model.count_terms(n + 1)
-    Q1, L1 = model.count_terms(1)
+    (Qn, Qj, Q1), (Ln, Lj, L1) = _posterior_terms(model._F, [n, n + 1, 1])
     joint = a_e + a_t
     return float(
         0.5 * (joint @ Qj @ joint - a_e @ Qn @ a_e - a_t @ Q1 @ a_t)
@@ -167,7 +156,7 @@ def score_trialset(model: PldaModel, enroll, counts, trials, test) -> np.ndarray
     ``enroll`` holds the enrollment rows model by model, ``counts[m]`` of
     them for trials.model_ids[m]; ``test`` holds one row per test of
     trials.test_utt_ids, in that order. All rows must be preprocessed
-    identically to training.
+    identically to training. A score that is not finite raises.
     """
     q = model.latent_dim
     counts = np.asarray(counts, dtype=np.int64)
@@ -177,28 +166,33 @@ def score_trialset(model: PldaModel, enroll, counts, trials, test) -> np.ndarray
             len(trials.model_ids), len(enroll), len(trials.test_utt_ids)):
         raise PldaError("enrollment and test rows do not match the trial set's ids")
     Mn = len(counts)
-    AE = model.project(np.add.reduceat(enroll - model.u, np.cumsum(counts) - counts, axis=0))
-    AT = model.project(test - model.u)
-
-    Q1, L1 = model.count_terms(1)
     distinct, cidx = np.unique(counts, return_inverse=True)
+    k = len(distinct)
+    # one call for every count, so that an overflow names the smallest, as in score_llr
+    Q, L = _posterior_terms(model._F, np.concatenate([distinct, distinct + 1, [1]]))
+    Q1, L1 = Q[-1], L[-1]
     alpha = np.empty(Mn)
     U = np.empty((Mn, q))
-    beta = np.empty((len(distinct), AT.shape[0]))
-    for i, n in enumerate(distinct.tolist()):
-        Qn, Ln = model.count_terms(n)
-        Qj, Lj = model.count_terms(n + 1)
-        sel = cidx == i
-        E = AE[sel]
-        alpha[sel] = (
-            0.5 * (np.einsum("mq,qr,mr->m", E, Qj, E)
-                   - np.einsum("mq,qr,mr->m", E, Qn, E))
-            - 0.5 * (Lj - Ln - L1)
-        )
-        U[sel] = E @ Qj.T
-        beta[i] = 0.5 * np.einsum("tq,qr,tr->t", AT, Qj - Q1, AT)
-
-    return _kernels.score_trials(alpha, U, cidx, AT, beta, trials)
+    # finite rows and a finite model can still overflow; the scores say so
+    with np.errstate(over="ignore", invalid="ignore"):
+        AE = model.project(np.add.reduceat(enroll - model.u, np.cumsum(counts) - counts, axis=0))
+        AT = model.project(test - model.u)
+        beta = np.empty((k, AT.shape[0]))
+        for i in range(k):
+            Qn, Ln, Qj, Lj = Q[i], L[i], Q[k + i], L[k + i]
+            sel = cidx == i
+            E = AE[sel]
+            alpha[sel] = (
+                0.5 * (np.einsum("mq,qr,mr->m", E, Qj, E)
+                       - np.einsum("mq,qr,mr->m", E, Qn, E))
+                - 0.5 * (Lj - Ln - L1)
+            )
+            U[sel] = E @ Qj.T
+            beta[i] = 0.5 * np.einsum("tq,qr,tr->t", AT, Qj - Q1, AT)
+        scores = _kernels.score_trials(alpha, U, cidx, AT, beta, trials)
+    if not np.isfinite(scores).all():
+        raise PldaError("non-finite score")
+    return scores
 
 
 def _collect_classes(data: Dataset, view: LabelView, pp: Preprocessor | None):
@@ -255,7 +249,8 @@ def train_em(data: Dataset, view: LabelView, pp: Preprocessor | None,
     for it in range(cfg.iterations):
         logdet_sigma, Sigma_inv, G, F = _sigma_terms(Sigma, V)
         A = sums @ G.T
-        M, R2, ll_lat = _kernels.estep_stats(A, sizes, bounds, F)
+        M, R2, ll_lat = _kernels.estep_stats(A, sizes, bounds,
+                                             *_posterior_terms(F, sizes))
 
         # trace(Sigma^-1 S_total), both matrices symmetric
         trace_term = float(np.vdot(Sigma_inv, S_total))

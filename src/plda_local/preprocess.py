@@ -15,6 +15,17 @@ class PreprocessError(Exception):
     pass
 
 
+def _check_symmetric(M, name, error):
+    """Raise ``error`` unless the finite matrix M is symmetric to 1e-10
+    relative. M is scaled to a largest entry of 1, so that no norm
+    overflows; a difference that overflows is asymmetry."""
+    scale = np.max(np.abs(M)) or 1.0
+    with np.errstate(over="ignore"):
+        rel = np.linalg.norm((M - M.T) / scale) / max(np.linalg.norm(M / scale), 1e-300)
+    if not rel <= 1e-10:
+        raise error(f"{name} asymmetric (relative {rel:.2e})")
+
+
 @dataclass(frozen=True)
 class Preprocessor:
     """Fitted centering + whitening transform.
@@ -32,13 +43,7 @@ class Preprocessor:
         W = np.asarray(self.whitener, dtype=np.float64)
         if not np.all(np.isfinite(W)) or not np.all(np.isfinite(m)):
             raise PreprocessError("non-finite preprocessor parameters")
-        # scaled to a largest entry of 1, so that no norm of a finite matrix
-        # overflows; a difference that overflows is asymmetry
-        scale = np.max(np.abs(W)) or 1.0
-        with np.errstate(over="ignore"):
-            rel = np.linalg.norm((W - W.T) / scale) / max(np.linalg.norm(W / scale), 1e-300)
-        if not rel <= 1e-10:
-            raise PreprocessError(f"whitener asymmetric (relative {rel:.2e})")
+        _check_symmetric(W, "whitener", PreprocessError)
         object.__setattr__(self, "mean", m)
         object.__setattr__(self, "whitener", W)
 
@@ -79,14 +84,17 @@ def fit(vectors, whiten: bool = True) -> Preprocessor:
     if X.ndim != 2 or X.shape[0] < 2:
         raise PreprocessError("need at least 2 vectors to fit a preprocessor")
     d = X.shape[1]
-    mean = X.mean(axis=0)
-    if not whiten:
-        return Preprocessor(mean=mean, whitener=np.eye(d))
-    cov = np.cov(X, rowvar=False, ddof=1).reshape(d, d)
-    eps = 1e-6 * np.trace(cov) / d
-    if eps <= 0:
-        eps = 1e-12
-    evals, evecs = np.linalg.eigh(cov + eps * np.eye(d))
+    # finite vectors can still overflow a sum; what overflows is refused
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = X.mean(axis=0)
+        if not whiten:
+            return Preprocessor(mean=mean, whitener=np.eye(d))
+        cov = np.cov(X, rowvar=False, ddof=1).reshape(d, d)
+        eps = 1e-6 * np.trace(cov) / d
+        ridged = cov + (eps if eps > 0 else 1e-12) * np.eye(d)
+    if not np.all(np.isfinite(ridged)):
+        raise PreprocessError("the sample covariance of the vectors overflows")
+    evals, evecs = np.linalg.eigh(ridged)
     if np.any(evals <= 0):
         raise PreprocessError("covariance not positive definite after ridge")
     W = (evecs / np.sqrt(evals)) @ evecs.T

@@ -146,8 +146,7 @@ class TestAcceptance:
                                 global_spk=f"m{i % 1236}", vector=np.zeros(1))
                 for i in range(n_test)
             ))
-            key = {r.utt_id: r.global_spk for r in test.records}
-            trials = generate_trials([f"m{i}" for i in range(1236)], test, key)
+            trials = generate_trials([f"m{i}" for i in range(1236)], test)
             counts.append((len(trials), expect))
         ok = all(got == want for got, want in counts)
         self._report(6, "trial count arithmetic", ok, str(counts))
@@ -247,10 +246,7 @@ class TestAcceptance:
                 d / "test.csv",
             )
             test = read_dataset(d / "test.csv")
-            trials = generate_trials(
-                sorted(by_spk), test,
-                {r.utt_id: r.global_spk for r in test.records},
-            )
+            trials = generate_trials(sorted(by_spk), test)
             write_key(trials, d / "key.csv")
 
             run("score", "--model", d / "m.plda", "--enroll", d / "enroll.csv",

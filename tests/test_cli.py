@@ -266,9 +266,7 @@ class TestEval:
         test = read_dataset(test_path)
         enroll = read_dataset(enroll_path)
         models = sorted({r.global_spk for r in enroll.records})
-        trials = generate_trials(
-            models, test, {r.utt_id: r.global_spk for r in test.records}
-        )
+        trials = generate_trials(models, test)
         write_key(trials, key_path)
         return trials
 
@@ -655,6 +653,18 @@ class TestHostileNumbers:
         assert self.score(scored_setup, tmp_path, model=bad).startswith(
             f"error: {bad}: whitener asymmetric (relative 8.16e-01)")
 
+    @staticmethod
+    def output_args(command, models, test, tmp_path):
+        """The output options of ``score``, or of ``eval`` with a key of
+        every model against the first two tests."""
+        out = tmp_path / "out.csv"
+        if command == "score":
+            return out, ("--scores", out)
+        key = tmp_path / "key.csv"
+        key.write_text("".join(f"{m},{t},nontarget\n" for m in models
+                               for t in read_dataset(test).utt_ids[:2]))
+        return out, ("--key", key, "--report", out)
+
     @pytest.mark.parametrize("command", ["score", "eval"])
     def test_count_terms_that_overflow(self, scored_setup, tmp_path, command):
         # V' Sigma^-1 V is 1e306, so I + n V' Sigma^-1 V is finite for model
@@ -667,20 +677,41 @@ class TestHostileNumbers:
             UtteranceRecord(f"e{i}", f"c{i}", 0, "A" if i else "B", rng.normal(size=4))
             for i in range(1001))), enroll)
         test = scored_setup[2]
-        out = tmp_path / "out.csv"
-        if command == "score":
-            args = ("--scores", out)
-        else:
-            key = tmp_path / "key.csv"
-            key.write_text("".join(f"{m},{t},nontarget\n" for m in "AB"
-                                   for t in read_dataset(test).utt_ids[:2]))
-            args = ("--key", key, "--report", out)
+        out, args = self.output_args(command, "AB", test, tmp_path)
         code, err = run_fresh(command, "--model", model, "--enroll", enroll,
                               "--test", test, *args)
         assert code == 2, err
         assert err.startswith("error: I + n V' Sigma^-1 V overflows at n=1000 utterances")
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["score", "eval"])
+    def test_model_mean_that_overflows_the_scores(self, scored_setup, tmp_path, command):
+        # a finite mean of 1e308 passes the model checks; centering and
+        # projecting the rows overflows, and every score would be NaN
+        model, enroll, test = scored_setup
+        lines = model.read_text().split("\n")
+        assert lines[1] == "u:"
+        lines[2] = ",".join(["1e308", *lines[2].split(",")[1:]])
+        model.write_text("\n".join(lines))
+        models = sorted(set(read_dataset(enroll).global_spks))
+        out, args = self.output_args(command, models, test, tmp_path)
+        code, err = run_fresh(command, "--model", model, "--enroll", enroll,
+                              "--test", test, *args)
+        assert (code, err) == (2, "error: non-finite score\n")
+        assert not out.exists()
+
+    def test_corpus_whose_covariance_overflows(self, corpus_file, tmp_path):
+        # a row of 1e200 components is finite; its square is not
+        lines = corpus_file.read_text().split("\n")
+        fields = lines[1].split(",")
+        lines[1] = ",".join(fields[:4] + ["1e200"] * (len(fields) - 4))
+        corpus_file.write_text("\n".join(lines))
+        model = tmp_path / "m.plda"
+        code, err = run_fresh("train", "--data", corpus_file, "--labels", "local", "--q", 2,
+                              "--iters", 2, "--seed", 1, "--model", model)
+        assert (code, err) == (2, "error: the sample covariance of the vectors overflows\n")
+        assert not model.exists()
 
     def test_test_vector_whose_norm_overflows(self, scored_setup, tmp_path):
         bad = tmp_path / "bad.csv"

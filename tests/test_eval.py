@@ -52,24 +52,17 @@ def tiny_test_set(n=4, dim=3, n_spk=2):
 class TestGenerateTrials:
     def test_cross_product_count(self):
         test = tiny_test_set(n=6, n_spk=3)
-        key = {r.utt_id: r.global_spk for r in test.records}
-        trials = generate_trials(["m0", "m1", "m2"], test, key)
+        trials = generate_trials(["m0", "m1", "m2"], test)
         assert len(trials) == 18
         assert trials.n_target + trials.n_nontarget == 18
 
     def test_single_target_trial(self):
         test = tiny_test_set(n=1, n_spk=1)
-        key = {r.utt_id: r.global_spk for r in test.records}
-        trials = generate_trials(["m0"], test, key)
+        trials = generate_trials(["m0"], test)
         assert len(trials) == 1
         assert trials.n_target == 1
         assert trial_pairs(trials) == [("m0", "t0")]
         assert trials.target.tolist() == [True]
-
-    def test_unkeyable_utterance(self):
-        test = tiny_test_set(n=2)
-        with pytest.raises(EvalError, match="t1"):
-            generate_trials(["m0"], test, {"t0": "m0"})
 
     @settings(deadline=None, max_examples=200)
     @given(st.lists(st.sampled_from(["a", "b", "a\x00", "\x00", ""]), max_size=5),
@@ -77,9 +70,11 @@ class TestGenerateTrials:
     @example(["a", "b", "a"], ["a", None, "c", "b"])  # a repeated model id
     @example(["a"], ["a\x00"])  # equal as numpy str, not as ids
     def test_mask_matches_pairwise_oracle(self, model_ids, speakers):
-        test = Dataset(1, tuple(UtteranceRecord(f"t{j}", "c", 0, None, [0.0])
-                                for j in range(len(speakers))))
-        trials = generate_trials(model_ids, test, dict(zip(test.utt_ids, speakers)))
+        # built from columns: a record would refuse the "" and NUL speakers
+        n = len(speakers)
+        test = Dataset._columns(1, tuple(f"t{j}" for j in range(n)), ("c",) * n, (0,) * n,
+                                tuple(speakers), np.zeros((n, 1)))
+        trials = generate_trials(model_ids, test)
         want = target_mask_pairwise(model_ids, speakers)
         assert trials.target.tolist() == want.ravel().tolist()
 
@@ -92,8 +87,7 @@ class TestGenerateTrials:
                                 global_spk=f"m{i % 1236}", vector=np.zeros(1))
                 for i in range(n_test)
             ))
-            key = {r.utt_id: r.global_spk for r in test.records}
-            trials = generate_trials([f"m{i}" for i in range(1236)], test, key)
+            trials = generate_trials([f"m{i}" for i in range(1236)], test)
             assert len(trials) == expect
 
 
@@ -280,8 +274,7 @@ class TestTrialSet:
 
     def test_from_pairs_round_trip(self, tmp_path):
         test = tiny_test_set(n=4)
-        key_src = {r.utt_id: r.global_spk for r in test.records}
-        trials = generate_trials(["m0", "m1"], test, key_src)
+        trials = generate_trials(["m0", "m1"], test)
         path = tmp_path / "key.csv"
         write_key(trials, path)
         back = read_key(path, ["m0", "m1"], test.utt_ids)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from plda_local import _kernels
 from plda_local.data_model import Dataset, UtteranceRecord
+from plda_local.plda import _posterior_terms
 from plda_local.eval_harness import (
     EvalError,
     TrialSet,
@@ -23,7 +24,8 @@ class TestNumpyPath:
         A = np.empty((5, 0))
         F = np.empty((0, 0))
         # five classes of size 1
-        M, R2, ll = _kernels.estep_stats(A, np.array([1]), np.array([0, 5]), F)
+        M, R2, ll = _kernels.estep_stats(A, np.array([1]), np.array([0, 5]),
+                                         *_posterior_terms(F, [1]))
         assert M.shape == (5, 0)
         assert R2.shape == (0, 0)
         assert ll == 0.0
@@ -35,7 +37,8 @@ class TestNumpyPath:
         F = B @ B.T
         counts = np.repeat([1, 2, 5], [4, 1, 3])  # sorted by size
         A = rng.normal(size=(len(counts), q))
-        M, R2, ll = _kernels.estep_stats(A, np.array([1, 2, 5]), np.array([0, 4, 5, 8]), F)
+        M, R2, ll = _kernels.estep_stats(A, np.array([1, 2, 5]), np.array([0, 4, 5, 8]),
+                                         *_posterior_terms(F, [1, 2, 5]))
         want_R2, want_ll = np.zeros((q, q)), 0.0
         for i, n in enumerate(counts):
             P = np.eye(q) + n * F
@@ -112,8 +115,7 @@ class TestScoreTrialset:
                             vector=v)
             for j, (t, v) in enumerate(tests.items())
         ))
-        trials = generate_trials(sorted(enroll), test,
-                                 {r.utt_id: r.global_spk for r in test.records})
+        trials = generate_trials(sorted(enroll), test)
         assert len(trials) == 48
         # chunks of two models, each scored against every test once
         monkeypatch.setattr(_kernels, "_BLOCK", 16)
@@ -260,8 +262,7 @@ class TestProductMatchesKeyed:
                             vector=rng.normal(size=d))
             for j in range(n_tests)))
         tests = dict(zip(test.utt_ids, test.vectors()))
-        product = generate_trials(sorted(enroll), test,
-                                  dict(zip(test.utt_ids, test.global_spks)))
+        product = generate_trials(sorted(enroll), test)
         keyed = _keyed_copy(product)
         assert product.is_product and not keyed.is_product
         assert len(product) == n_models * n_tests
@@ -283,7 +284,7 @@ class TestProductMatchesKeyed:
         test = Dataset(1, tuple(
             UtteranceRecord(utt_id=f"t{j}", conv_id="c", slot=0, global_spk="m1",
                             vector=np.zeros(1)) for j in range(3)))
-        product = generate_trials(["m0", "m1"], test, {f"t{j}": "m1" for j in range(3)})
+        product = generate_trials(["m0", "m1"], test)
         keyed = _keyed_copy(product)
         for a, b in ((0, 6), (1, 5), (4, 4)):
             assert trial_indices(product, a, b) == trial_indices(keyed, a, b)

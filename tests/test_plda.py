@@ -194,6 +194,41 @@ class TestScoreLlr:
             assert np.mean(diffs) > 0
 
 
+class TestPosteriorTerms:
+    @pytest.mark.parametrize("q", [0, 1, 3, 10])
+    def test_bits_of_one_count_at_a_time(self, q):
+        rng = np.random.default_rng(q)
+        B = rng.normal(size=(q, q))
+        F = B @ B.T
+        ns = [1, 3, 3, 1, 250, 7, 250, 2]
+        Q, L = plda._posterior_terms(F, ns)
+        assert Q.shape == (len(ns), q, q) and L.shape == (len(ns),)
+        for k, n in enumerate(ns):
+            P = np.eye(q) + n * F
+            assert Q[k].tobytes() == np.linalg.inv(P).tobytes()
+            assert L[k].tobytes() == np.float64(np.linalg.slogdet(P)[1]).tobytes()
+
+    @pytest.mark.parametrize("counts", [[179], [1, 179, 400], [400, 1000]])
+    def test_score_llr_and_score_trialset_name_one_count(self, counts):
+        # V' Sigma^-1 V is 1e306: I + n V' Sigma^-1 V overflows from n = 180
+        model = PldaModel(u=np.zeros(2), V=np.array([[1e153], [0.0]]), Sigma=np.eye(2))
+        rng = np.random.default_rng(0)
+        enroll = [rng.normal(size=(n, 2)) for n in counts]
+        test = rng.normal(size=2)
+        named = {}
+        for E in enroll:
+            try:
+                score_llr(model, E, test)
+            except PldaError as e:
+                named[int(str(e).split("n=")[1].split()[0])] = str(e)
+        trials = TrialSet.product([f"m{i}" for i in range(len(counts))], ["t"],
+                                  np.zeros((len(counts), 1), dtype=bool))
+        with pytest.raises(PldaError) as e:
+            score_trialset(model, np.concatenate(enroll), counts, trials, test[None])
+        assert str(e.value) == named[min(named)]
+        assert str(e.value).startswith("I + n V' Sigma^-1 V overflows at n=")
+
+
 class TestTrainEm:
     def test_q0_sigma_is_sample_covariance(self):
         data = corpus(seed=1, dim=4, q=2, nconv=30, slots=1, utts=3)
@@ -462,8 +497,7 @@ class TestScoreBatch:
                             vector=rng.normal(size=5))
             for i in range(n_tests)
         ))
-        key = {r.utt_id: r.global_spk for r in test.records}
-        trials = generate_trials(sorted(enroll), test, key)
+        trials = generate_trials(sorted(enroll), test)
         test_vecs = {r.utt_id: r.vector for r in test.records}
         return m, enroll, trials, test_vecs
 
