@@ -132,6 +132,7 @@ def score_llr(model: PldaModel, enroll, test) -> float:
     log p(enroll, test | one speaker) - log p(enroll) - log p(test) under
     the model's marginal densities. The Gaussian terms the three densities
     share cancel analytically, so only latent-space terms are computed.
+    A score that is not finite raises.
     """
     E = np.atleast_2d(np.asarray(enroll, dtype=np.float64))
     t = np.asarray(test, dtype=np.float64)
@@ -140,14 +141,19 @@ def score_llr(model: PldaModel, enroll, test) -> float:
         raise PldaError("empty enrollment")
     if E.shape[1] != model.dim or t.shape != (model.dim,):
         raise PldaError("dimension mismatch in score_llr")
-    a_e = model.project(np.sum(E - model.u, axis=0))
-    a_t = model.project(t - model.u)
     (Qn, Qj, Q1), (Ln, Lj, L1) = _posterior_terms(model._F, [n, n + 1, 1])
-    joint = a_e + a_t
-    return float(
-        0.5 * (joint @ Qj @ joint - a_e @ Qn @ a_e - a_t @ Q1 @ a_t)
-        - 0.5 * (Lj - Ln - L1)
-    )
+    # finite rows and a finite model can still overflow; the score says so
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_e = model.project(np.sum(E - model.u, axis=0))
+        a_t = model.project(t - model.u)
+        joint = a_e + a_t
+        score = float(
+            0.5 * (joint @ Qj @ joint - a_e @ Qn @ a_e - a_t @ Q1 @ a_t)
+            - 0.5 * (Lj - Ln - L1)
+        )
+    if not math.isfinite(score):
+        raise PldaError("non-finite score")
+    return score
 
 
 def score_trialset(model: PldaModel, enroll, counts, trials, test) -> np.ndarray:
@@ -195,50 +201,49 @@ def score_trialset(model: PldaModel, enroll, counts, trials, test) -> np.ndarray
     return scores
 
 
-def _collect_classes(data: Dataset, view: LabelView, pp: Preprocessor | None):
-    """(X, counts): the training vectors class by class and the class sizes,
-    the classes in ascending order of size, ties in view order, and each
-    class's rows in dataset order."""
+def _class_stats(data: Dataset, view: LabelView, pp: Preprocessor | None):
+    """(u, S_total, sums, counts): the mean u of the (preprocessed) rows the
+    view covers, the scatter S_total of those rows centered at u, and each
+    class's centered sum and size, the classes in ascending order of size,
+    ties in view order. Each class sum adds its rows in dataset order."""
     if view.utt_ids != data.utt_ids:
         raise PldaError("the label view is not over the rows of the training data")
     if view.n_classes < 2:
         raise PldaError(f"need at least 2 classes, have {view.n_classes}")
-    codes = view.codes
-    sizes = np.bincount(codes + 1, minlength=view.n_classes + 1)
-    by_class = np.argsort(codes, kind="stable")[sizes[0]:]  # rows in no class go
-    sizes = sizes[1:]
-    X = data.vectors()[by_class[np.argsort(sizes[codes[by_class]], kind="stable")]]
+    X, codes = data.vectors(), view.codes
+    covered = codes >= 0
+    if not covered.all():  # rows in no class go, before the preprocessor sees them
+        X, codes = X[covered], codes[covered]
     if pp is not None:
         X = pp.apply(X)
-    return X, np.sort(sizes)
+    u = X.mean(axis=0)
+    Xc = X - u
+    K = view.n_classes
+    counts = np.bincount(codes, minlength=K)
+    sums = np.stack([np.bincount(codes, weights=col, minlength=K) for col in Xc.T], axis=1)
+    order = np.argsort(counts, kind="stable")
+    return u, Xc.T @ Xc, sums[order], counts[order]
 
 
 def train_em(data: Dataset, view: LabelView, pp: Preprocessor | None,
              cfg: TrainConfig):
     """EM training; returns the model and per-iteration data log-likelihoods.
 
-    The global mean u is the mean of all (preprocessed) training vectors and
-    stays fixed; V and Sigma get the exact joint M-step, so the returned
+    The global mean u is the mean of the (preprocessed) rows the view covers
+    and stays fixed; V and Sigma get the exact joint M-step, so the returned
     log-likelihood sequence is non-decreasing up to the Sigma eigenvalue floor.
     Pass pp=None to train on raw vectors.
     """
-    Xc, counts = _collect_classes(data, view, pp)
-    N, d = Xc.shape
+    u, S_total, sums, counts = _class_stats(data, view, pp)
+    N, d = int(counts.sum()), len(u)
     q = cfg.latent_dim
     if q > d:
         raise PldaError(f"latent_dim {q} exceeds data dimension {d}")
 
-    u = Xc.mean(axis=0)
-    Xc -= u  # centered in place: the rows are _collect_classes' own copy
-    S_total = Xc.T @ Xc
     # the classes come sorted by size: classes bounds[j]:bounds[j + 1] have
-    # size sizes[j], and their rows are one block of Xc, n rows per class
+    # size sizes[j]
     bounds = np.flatnonzero(np.concatenate([[True], counts[1:] != counts[:-1], [True]]))
     sizes = counts[bounds[:-1]]
-    starts = np.concatenate([[0], np.cumsum(counts)])  # first row of each class
-    sums = np.empty((len(counts), d))  # centered class sums
-    for n, a, b in zip(sizes.tolist(), bounds[:-1].tolist(), bounds[1:].tolist()):
-        Xc[starts[a]:starts[b]].reshape(b - a, n, d).sum(axis=1, out=sums[a:b])
 
     rng = np.random.default_rng(cfg.seed)
     V = rng.normal(0.0, 1.0 / math.sqrt(d), size=(d, q))

@@ -325,7 +325,8 @@ def draw_partition(rng, n, classes):
 def collect_classes_rows(data, classes):
     """(X, counts) that EM trains on under a {class id: member utt_ids}
     partition: classes in a stable sort of their sizes in partition order,
-    members in partition order. The reference for ``_collect_classes``."""
+    members in partition order. The reference for ``_class_stats``, which
+    reduces these rows to statistics."""
     row = {u: i for i, u in enumerate(data.utt_ids)}
     members = list(classes.values())
     counts = np.array([len(m) for m in members], dtype=np.int64)

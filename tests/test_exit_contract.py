@@ -1,5 +1,5 @@
-"""The exit-code contract of ``train``, ``score`` and ``eval`` under mutated
-input files.
+"""The exit-code contract of ``train``, ``score``, ``eval`` and ``sweep``
+under mutated input files.
 
 Each example mutates one byte-level copy of a small valid input and runs
 one command in-process. Whatever the mutation, the command exits 0 or 2
@@ -29,13 +29,16 @@ def run(*args):
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
-    """Valid inputs of every command: a dim-4 corpus, an enroll/test split
-    with a key, and a model trained on the corpus."""
+    """Valid inputs of every command: a dim-4 corpus, a second corpus for
+    local labels, an enroll/test split with a key, and a model trained on
+    the corpus."""
     d = tmp_path_factory.mktemp("inputs")
-    files = {k: d / f"{k}.csv" for k in ("corpus", "enroll", "test", "key")}
+    files = {k: d / f"{k}.csv" for k in ("corpus", "local", "enroll", "test", "key")}
     files["model"] = d / "model.plda"
     assert run("synth", "--dim", 4, "--latent", 2, "--conversations", 15, "--slots", 2,
                "--utts", 2, "--recurrence", 0.2, "--seed", 5, "--out", files["corpus"]) == 0
+    assert run("synth", "--dim", 4, "--latent", 2, "--conversations", 8, "--slots", 2,
+               "--utts", 2, "--seed", 9, "--out", files["local"]) == 0
     assert run("train", "--data", files["corpus"], "--labels", "global", "--q", 2,
                "--iters", 3, "--seed", 0, "--model", files["model"]) == 0
     ev = d / "eval.csv"
@@ -57,8 +60,9 @@ COMMANDS = {
     "train": (("corpus",), ("model.out",)),
     "score": (("model", "enroll", "test"), ("scores.out",)),
     "eval": (("model", "enroll", "test", "key"), ("report.out", "scores.out")),
+    "sweep": (("corpus", "local", "enroll", "test"), ("grid.out",)),
 }
-CORPORA = {"corpus", "enroll", "test"}
+CORPORA = {"corpus", "local", "enroll", "test"}
 VALUES = ("1e308", "-1e308", "nan", "inf", "5e-324", "1e999", "1_0", "-", "")
 # a header value is one that int() refuses, so no header allocates from it
 HEADER_VALUES = tuple(v for v in VALUES if v != "1_0")
@@ -69,6 +73,10 @@ def argv(command, p):
     if command == "train":
         return ["train", "--data", p["corpus"], "--labels", "local", "--q", 2,
                 "--iters", 2, "--seed", 1, "--model", p["model.out"]]
+    if command == "sweep":
+        return ["sweep", "--data", f"{p['corpus']},{p['local']}", "--enroll", p["enroll"],
+                "--test", p["test"], "--grid-global", "0,8", "--grid-local", 8, "--q", 2,
+                "--iters", 2, "--seed", 1, "--report", p["grid.out"]]
     args = [command, "--model", p["model"], "--enroll", p["enroll"], "--test", p["test"]]
     if command == "eval":
         args += ["--key", p["key"], "--report", p["report.out"]]
@@ -117,6 +125,8 @@ def numbers(name, text):
                 for f in line.split(",") if f]
     if name == "scores.out":
         return [line.split(",")[-1] for line in lines[1:]]
+    if name == "grid.out":  # n_global,n_local,seed,eer rows
+        return [f for line in lines[1:] for f in line.split(",")]
     out = []  # a report: metric,value rows, then det_far,det_miss rows
     for line in lines:
         fields = line.split(",")
@@ -133,7 +143,8 @@ MUTATIONS = st.one_of(
     st.tuples(st.just("duplicate"), POSITION),
     st.tuples(st.just("scale"), POSITION),
 )
-JOBS = st.sampled_from([(c, f) for c, (ins, _) in COMMANDS.items() for f in ins])
+JOBS = st.sampled_from([(c, f) for c, (ins, _) in COMMANDS.items() if c != "sweep"
+                        for f in ins])
 
 
 @settings(deadline=None, max_examples=150)
@@ -141,6 +152,19 @@ JOBS = st.sampled_from([(c, f) for c, (ins, _) in COMMANDS.items() for f in ins]
 @example(job=("train", "corpus"), mutation=("scale", 0))  # the covariance overflows
 @example(job=("score", "model"), mutation=("field", 2, 0, "1e308"))  # a u of 1e308
 def test_exit_contract(inputs, job, mutation):
+    check(inputs, job, mutation)
+
+
+# a sweep trains and scores a grid of cells, so it gets fewer examples
+@settings(deadline=None, max_examples=40)
+@given(target=st.sampled_from(COMMANDS["sweep"][0]), mutation=MUTATIONS)
+@example(target="local", mutation=("scale", 0))  # the covariance overflows
+def test_sweep_exit_contract(inputs, target, mutation):
+    check(inputs, ("sweep", target), mutation)
+
+
+def check(inputs, job, mutation):
+    """Run one command with one of its input files mutated."""
     command, target = job
     assume(mutation[0] != "scale" or target in CORPORA)
     ins, outs = COMMANDS[command]

@@ -26,7 +26,7 @@ from plda_local.plda import (
     score_trialset,
     train_em,
 )
-from plda_local.preprocess import Preprocessor
+from plda_local.preprocess import Preprocessor, PreprocessError
 from plda_local.synth import SynthConfig, sample_conversations, sample_truth
 from plda_local.eval_harness import TrialSet, generate_trials
 from _helpers import (
@@ -158,6 +158,17 @@ class TestScoreLlr:
         E = rng.normal(size=(2, 3))
         t = rng.normal(size=3)
         assert score_llr(m, E, t) == pytest.approx(dense_llr(m, E, t), abs=1e-8)
+
+    def test_mean_that_overflows_the_score_raises(self):
+        # a finite mean of 1e308 passes the model checks; centering the
+        # zero rows overflows
+        rng = np.random.default_rng(12)
+        m = random_model(rng, 3, 2)
+        m = PldaModel(u=np.array([1e308, 0.0, 0.0]), V=m.V, Sigma=m.Sigma)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PldaError, match="^non-finite score$"):
+                score_llr(m, np.zeros((3, 3)), np.zeros(3))
 
     def test_empty_enrollment_rejected(self):
         rng = np.random.default_rng(8)
@@ -420,10 +431,34 @@ class TestTrainEm:
         for a, b in zip(lls, lls[1:]):
             assert b >= a - 1e-8 * abs(a)
 
+    def test_row_order_moves_only_rounding_and_rows_in_no_class_go_first(self):
+        # the classes' rows interleave in a random order; one row, in no
+        # class, is a zero vector, which the identity preprocessor refuses
+        rng = np.random.default_rng(11)
+        base = corpus(seed=4, dim=5, q=2, nconv=40, slots=1, utts=3)
+        records = [base.records[i] for i in rng.permutation(len(base.records)).tolist()]
+        zero = records[7]
+        records[7] = UtteranceRecord(utt_id=zero.utt_id, conv_id=zero.conv_id, slot=zero.slot,
+                                     global_spk=zero.global_spk, vector=np.zeros(5))
+        data = Dataset(5, tuple(records))
+        part = {k: tuple(u for u in m if u != zero.utt_id)
+                for k, m in partition_by(data.global_spks, data.utt_ids).items()}
+        pp = Preprocessor.identity(5)
+        with pytest.raises(PreprocessError, match="norm 0.0"):
+            pp.apply(data.vectors())
+        shuffled = Dataset(5, tuple(records[i] for i in rng.permutation(len(records)).tolist()))
+        cfg = TrainConfig(latent_dim=2, iterations=10, seed=0, loglik_tol=0.0)
+        (m1, ll1), (m2, ll2) = (train_em(d, label_view("global", part, d.utt_ids), pp, cfg)
+                                for d in (data, shuffled))
+        # both sum the same rows, in two orders: they agree to rounding
+        for a, b in ((m1.u, m2.u), (m1.V, m2.V), (m1.Sigma, m2.Sigma), (ll1, ll2)):
+            np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
 
-class TestCollectClasses:
-    """The rows EM trains on, class by class, against a reference that
-    works on {class id: utt_ids} partitions."""
+
+class TestClassStats:
+    """The statistics EM trains on, against statistics of the rows that a
+    reference working on {class id: utt_ids} partitions gathers class by
+    class."""
 
     @staticmethod
     def _dataset(rng, sizes, tag, labeled):
@@ -474,12 +509,25 @@ class TestCollectClasses:
         assert list(classes(view).items()) == list(part.items())
         if len(part) < 2:
             with pytest.raises(PldaError, match="at least 2 classes"):
-                plda._collect_classes(data, view, None)
+                plda._class_stats(data, view, None)
             return
-        X, counts = plda._collect_classes(data, view, None)
-        want_X, want_counts = collect_classes_rows(data, part)
-        np.testing.assert_array_equal(X, want_X)
+        u, S_total, sums, counts = plda._class_stats(data, view, None)
+        X, want_counts = collect_classes_rows(data, part)
+        want_u = X.mean(axis=0)
+        Xc = X - want_u
+        ends = np.cumsum(want_counts)
+        want_sums = np.array([Xc[e - n:e].sum(axis=0) for e, n in zip(ends, want_counts)])
         np.testing.assert_array_equal(counts, want_counts)
+        # each class sum is nearest the reference's class at its position:
+        # the class order; the rows draw from a continuous distribution, so
+        # no two classes share a sum
+        nearest = np.linalg.norm(sums[:, None] - want_sums[None], axis=2).argmin(axis=1)
+        np.testing.assert_array_equal(nearest, np.arange(len(counts)))
+        # the same rows summed in another order: rounding only
+        tight = dict(rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(u, want_u, **tight)
+        np.testing.assert_allclose(S_total, Xc.T @ Xc, **tight)
+        np.testing.assert_allclose(sums, want_sums, **tight)
 
 
 class TestScoreBatch:
